@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .amplitude_engine import AmplificationSchedule, MarkPredicate, RunReport
 from .problem_model import (
@@ -37,24 +36,6 @@ EXIT_NO_SOLUTION = 1
 EXIT_INPUT_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    problem_path: str
-    depth: int
-    seed: int = 0
-    policy: str = "fixed_optimal"
-    iterations: int = 0
-    growth: float = 1.2
-    budget: int = 10_000
-    samples: int = 1
-    tau: float | None = None
-    stages: list[tuple[int, int, float]] = field(default_factory=list)
-    output_format: str = "table"
-    state_dump: bool = False
-    seeds: int = 1
-
-
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
@@ -65,34 +46,34 @@ def _path_str(path: tuple[int, ...] | None) -> str:
     return ",".join(str(a) for a in path) if path else ""
 
 
-def _schedule(config: RunConfig) -> AmplificationSchedule:
+def _schedule(args: argparse.Namespace) -> AmplificationSchedule:
     return AmplificationSchedule(
-        policy=config.policy,
-        iterations=config.iterations,
-        growth=config.growth,
-        seed=config.seed,
-        max_oracle_queries=config.budget,
+        policy=args.policy,
+        iterations=args.iterations,
+        growth=args.growth,
+        seed=args.seed,
+        max_oracle_queries=args.budget,
     )
 
 
 def _emit_run(
-    config: RunConfig,
+    args: argparse.Namespace,
     report: RunReport,
     path: tuple[int, ...] | None,
     out,
     depth: int | None = None,
 ) -> None:
-    depth = config.depth if depth is None else depth
-    if config.output_format == "records":
+    depth = args.depth if depth is None else depth
+    if args.output_format == "records":
         print(
-            f"command={config.command} depth={depth} "
+            f"command={args.command} depth={depth} "
             + report.to_record()
             + f" solution={_path_str(path)}",
             file=out,
         )
         return
     status = "found" if path is not None else "none"
-    print(f"[{config.command}] depth={depth} solution={status} path={_path_str(path)}", file=out)
+    print(f"[{args.command}] depth={depth} solution={status} path={_path_str(path)}", file=out)
     print(
         f"  paths={report.n_paths} marked={report.m_marked} a={_fmt(report.initial_probability)}"
         f" iterations={report.iterations} oracle_queries={report.oracle_queries}",
@@ -113,86 +94,86 @@ def _emit_run(
         )
 
 
-def _cmd_prepare(config: RunConfig, problem: ProblemSpec, out) -> int:
-    plan = PreparationPlan.for_problem(problem, config.depth)
+def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
+    plan = PreparationPlan.for_problem(problem, args.depth)
     state = prepare_tree_state(plan)
-    if config.state_dump or config.output_format == "state-dump":
+    if args.state_dump:
         for line in state_dump_lines(state):
             print(line, file=out)
         return EXIT_OK
     n_live = sum(1 for _, e in state.sorted_entries() if not e.dead)
     n_dead = len(state.entries) - n_live
     print(
-        f"[prepare] depth={config.depth} live_paths={n_live} dead_prefixes={n_dead}"
+        f"[prepare] depth={args.depth} live_paths={n_live} dead_prefixes={n_dead}"
         f" norm={_fmt(state.norm_sq())} total_width={plan.layout.total_width}",
         file=out,
     )
-    if config.samples > 0:
-        for path, node in measure_paths(state, config.samples, config.seed):
+    if args.samples > 0:
+        for path, node in measure_paths(state, args.samples, args.seed):
             print(f"  sample path={_path_str(path)} node={problem.states[node]}", file=out)
     return EXIT_OK
 
 
-def _cmd_search(config: RunConfig, problem: ProblemSpec, out) -> int:
+def _cmd_search(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
     predicate = None
-    if config.tau is not None:
-        predicate = MarkPredicate.threshold_at(config.depth, config.tau)
-    path, report = uninformed_search(problem, config.depth, _schedule(config), predicate)
-    _emit_run(config, report, path, out)
+    if args.tau is not None:
+        predicate = MarkPredicate.threshold_at(args.depth, args.tau)
+    path, report = uninformed_search(problem, args.depth, _schedule(args), predicate)
+    _emit_run(args, report, path, out)
     return EXIT_OK if path is not None else EXIT_NO_SOLUTION
 
 
-def _cmd_iddfs(config: RunConfig, problem: ProblemSpec, out) -> int:
-    path, reports = iterative_deepening_search(problem, config.depth, _schedule(config))
+def _cmd_iddfs(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
+    path, reports = iterative_deepening_search(problem, args.depth, _schedule(args))
     for depth, report in enumerate(reports):
-        _emit_run(config, report, path if depth == len(reports) - 1 else None, out, depth=depth)
-    if config.output_format == "table":
+        _emit_run(args, report, path if depth == len(reports) - 1 else None, out, depth=depth)
+    if args.output_format == "table":
         total = sum(r.oracle_queries for r in reports)
         print(f"[iddfs] cumulative_oracle_queries={total}", file=out)
     return EXIT_OK if path is not None else EXIT_NO_SOLUTION
 
 
-def _cmd_prune(config: RunConfig, problem: ProblemSpec, out) -> int:
+def _cmd_prune(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
     stages = tuple(
         PruningStage(level=level, iterations=k, threshold=tau)
-        for level, k, tau in config.stages
+        for level, k, tau in args.stages
     )
     terminal_predicate = None
-    if config.tau is not None:
-        terminal_predicate = MarkPredicate.threshold_at(config.depth, config.tau)
+    if args.tau is not None:
+        terminal_predicate = MarkPredicate.threshold_at(args.depth, args.tau)
     plan = PipelinePlan(
         problem=problem,
-        depth=config.depth,
+        depth=args.depth,
         stages=stages,
-        terminal_schedule=_schedule(config),
+        terminal_schedule=_schedule(args),
         terminal_predicate=terminal_predicate,
     )
-    path, report = pruned_search(plan, config.seed)
-    _emit_run(config, report, path, out)
+    path, report = pruned_search(plan, args.seed)
+    _emit_run(args, report, path, out)
     return EXIT_OK if path is not None else EXIT_NO_SOLUTION
 
 
-def _cmd_greedy(config: RunConfig, problem: ProblemSpec, out) -> int:
-    path, reports = greedy_quantum_loop(problem, config.depth, config.seed, config.budget)
+def _cmd_greedy(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
+    path, reports = greedy_quantum_loop(problem, args.depth, args.seed, args.budget)
     for step, report in enumerate(reports):
-        _emit_run(config, report, None, out, depth=step)
-    if config.output_format == "table":
+        _emit_run(args, report, None, out, depth=step)
+    if args.output_format == "table":
         print(
             f"[greedy] solution={'found' if path is not None else 'none'}"
             f" path={_path_str(path)}",
             file=out,
         )
-    elif config.output_format == "records":
+    elif args.output_format == "records":
         print(f"command=greedy result solution={_path_str(path)}", file=out)
     return EXIT_OK if path is not None else EXIT_NO_SOLUTION
 
 
-def _cmd_compare(config: RunConfig, problem: ProblemSpec, out) -> int:
-    seeds = tuple(config.seed + i for i in range(config.seeds))
+def _cmd_compare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
+    seeds = tuple(args.seed + i for i in range(args.seeds))
     table = compare_strategies(
-        problem, config.depth, seeds, query_budget=config.budget
+        problem, args.depth, seeds, query_budget=args.budget
     )
-    if config.output_format == "records":
+    if args.output_format == "records":
         for line in table.render_records():
             print(line, file=out)
     else:
@@ -200,12 +181,12 @@ def _cmd_compare(config: RunConfig, problem: ProblemSpec, out) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(config: RunConfig, problem: ProblemSpec, out) -> int:
-    stats = branching_stats(problem, config.depth)
-    n_paths = len(enumerate_paths(problem, config.depth))
-    if config.output_format == "records":
+def _cmd_stats(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
+    stats = branching_stats(problem, args.depth)
+    n_paths = len(enumerate_paths(problem, args.depth))
+    if args.output_format == "records":
         print(
-            f"command=stats depth={config.depth} b_max={stats.b_max}"
+            f"command=stats depth={args.depth} b_max={stats.b_max}"
             f" b_avg={_fmt(stats.b_avg)} b_eff={_fmt(stats.b_eff)}"
             f" nodes_generated={stats.nodes_generated}"
             f" internal_nodes={stats.internal_nodes} paths={n_paths}",
@@ -213,7 +194,7 @@ def _cmd_stats(config: RunConfig, problem: ProblemSpec, out) -> int:
         )
     else:
         print(
-            f"[stats] depth={config.depth} b_max={stats.b_max} b_avg={_fmt(stats.b_avg)}"
+            f"[stats] depth={args.depth} b_max={stats.b_max} b_avg={_fmt(stats.b_avg)}"
             f" b_eff={_fmt(stats.b_eff)} nodes_generated={stats.nodes_generated}"
             f" paths={n_paths}",
             file=out,
@@ -253,10 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to a problem file")
         p.add_argument("--depth", type=int, required=True, help="tree depth d")
         p.add_argument(
-            "--format",
-            dest="output_format",
-            choices=("table", "records", "state-dump"),
-            default="table",
+            "--format", dest="output_format", choices=("table", "records"), default="table"
         )
         if sampling:
             p.add_argument("--seed", type=int, default=0)
@@ -313,40 +291,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        problem_path=args.problem,
-        depth=args.depth,
-        seed=getattr(args, "seed", 0),
-        policy=getattr(args, "policy", "fixed_optimal"),
-        iterations=getattr(args, "iterations", 0),
-        growth=getattr(args, "growth", 1.2),
-        budget=getattr(args, "budget", 10_000),
-        samples=getattr(args, "samples", 1),
-        stages=list(getattr(args, "stages", [])),
-        output_format=args.output_format,
-        state_dump=getattr(args, "state_dump", False),
-        seeds=getattr(args, "seeds", 1),
-    )
-
-
-def run(config: RunConfig, out=None) -> int:
-    """Dispatch one configured run; returns the process exit status."""
+def run(args: argparse.Namespace, out=None) -> int:
+    """Dispatch one parsed command line; returns the process exit status."""
     out = out if out is not None else sys.stdout
-    if config.depth < 0:
+    if args.depth < 0:
         print("error: --depth must be >= 0", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        problem = load_problem(config.problem_path)
+        problem = load_problem(args.problem)
     except OSError as exc:
-        print(f"error: cannot read {config.problem_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.problem}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ProblemFormatError, ValidationError) as exc:
-        print(f"error: {config.problem_path}: {exc}", file=sys.stderr)
+        print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        return _COMMANDS[config.command](config, problem, out)
+        return _COMMANDS[args.command](args, problem, out)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -354,7 +314,7 @@ def run(config: RunConfig, out=None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

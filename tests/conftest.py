@@ -10,11 +10,11 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 def cli_invoke(argv) -> tuple[int, str]:
     """Parse argv, run the command, capture stdout text."""
-    from qtreesearch.cli_reporting import build_parser, config_from_args, run
+    from qtreesearch.cli_reporting import build_parser, run
 
     args = build_parser().parse_args(argv)
     out = io.StringIO()
-    status = run(config_from_args(args), out=out)
+    status = run(args, out=out)
     return status, out.getvalue()
 
 # depth used when a test sweeps "every shipped fixture"

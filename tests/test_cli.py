@@ -212,3 +212,19 @@ def test_exit_statuses_across_fixture_suite():
         assert status == (0 if solvable else 1), stem
         status, _ = invoke(["stats", str(fixture_path(stem)), "--depth", str(max(depth, 1))])
         assert status == (0 if stem != "tiny" else 2), stem  # tiny generates no nodes
+
+
+@pytest.mark.parametrize("command", ["search", "prune"])
+def test_tau_marks_below_threshold_values(command):
+    # of the three depth-2 paths of mislead, two end at h <= 2.5 (mass 1/4 + 1/2)
+    status, text = invoke(
+        [command, str(fixture_path("mislead")), "--depth", "2", "--tau", "2.5", "--format", "records"]
+    )
+    assert status == 0
+    assert "m_marked=2 a=0.75" in text
+
+
+def test_state_dump_is_not_an_output_format():
+    with pytest.raises(SystemExit) as exc:
+        main(["search", str(fixture_path("binary7")), "--depth", "2", "--format", "state-dump"])
+    assert exc.value.code == 2
