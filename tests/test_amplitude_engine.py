@@ -167,6 +167,19 @@ def test_everything_marked_needs_no_iterations():
     assert final.entries == psi.entries
 
 
+@pytest.mark.parametrize("stem,depth", [("mislead", 2), ("deadend", 1)])
+def test_half_mass_rounded_below_one_half_needs_no_iterations(stem, depth):
+    # the summed goal mass is 0.4999999999999999 here, not 1/2
+    p = load_fixture(stem)
+    plan = PreparationPlan.for_problem(p, depth)
+    psi = prepare_tree_state(plan)
+    _, report = amplify(psi, plan, MarkPredicate.goal_at(depth), AmplificationSchedule())
+    assert report.initial_probability == pytest.approx(0.5, abs=1e-12)
+    assert report.iterations == 0
+    assert report.oracle_queries == 0
+    assert "single_measurement_sufficient" in report.warnings
+
+
 def test_no_marks_reports_without_looping():
     p = load_fixture("goalless")
     plan = PreparationPlan.for_problem(p, 2)
@@ -407,6 +420,7 @@ def test_report_record_fields(binary7):
 def test_optimal_iterations_closed_form():
     assert optimal_iterations(0.25) == 1
     assert optimal_iterations(0.5) == 0
+    assert optimal_iterations(0.4999999999999999) == 0
     assert optimal_iterations(1.0) == 0
     with pytest.raises(ValueError):
         optimal_iterations(0.0)
