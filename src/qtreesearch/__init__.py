@@ -39,7 +39,6 @@ from .tree_prep import (
 from .amplitude_engine import (
     AmplificationSchedule,
     MarkPredicate,
-    QueryCounter,
     RunReport,
     StageRecord,
     amplify,
@@ -47,7 +46,6 @@ from .amplitude_engine import (
     optimal_iterations,
     predicted_mass,
     reflect_about,
-    reflect_about_prepared,
 )
 from .search_drivers import (
     ComparisonTable,

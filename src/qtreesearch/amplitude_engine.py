@@ -11,18 +11,18 @@ Cost is counted in phase-oracle applications, one per iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problem_model import MissingHeuristicError, ProblemSpec
+from .problem_model import MissingHeuristicError, ProblemSpec, enumerate_paths
 from .statevector import (
     Entry,
     LayoutMismatchError,
     TreeState,
     inner_product,
 )
-from .tree_prep import PreparationPlan, prepare_tree_state
+from .tree_prep import PreparationPlan
 
 GOAL = "goal"
 HEURISTIC_THRESHOLD = "heuristic_threshold"
@@ -30,18 +30,6 @@ HEURISTIC_THRESHOLD = "heuristic_threshold"
 POLICY_FIXED_OPTIMAL = "fixed_optimal"
 POLICY_EXPLICIT = "explicit"
 POLICY_EXPONENTIAL = "exponential_search"
-
-
-class QueryCounter:
-    """Per-run tally of phase-oracle applications."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def increment(self) -> None:
-        self.count += 1
 
 
 @dataclass(frozen=True)
@@ -168,35 +156,20 @@ class RunReport:
         return " ".join(parts)
 
 
-def apply_oracle(
-    state: TreeState,
-    problem: ProblemSpec,
-    predicate: MarkPredicate,
-    counter: QueryCounter | None = None,
-) -> TreeState:
+def apply_oracle(state: TreeState, problem: ProblemSpec, predicate: MarkPredicate) -> TreeState:
     """Flip the amplitude sign of every marked configuration (one oracle query)."""
-    if counter is not None:
-        counter.increment()
     if state.mode == "dense":
         vec = state.vector.copy()
-        for idx in _marked_indices(state.layout, problem, predicate):
-            vec[idx] = -vec[idx]
+        for path, terminal, _ in enumerate_paths(problem, predicate.depth_context):
+            if predicate.marks(problem, path, terminal, False):
+                idx = state.layout.index_of(terminal, path)
+                vec[idx] = -vec[idx]
         return TreeState(state.layout, "dense", vector=vec, warnings=list(state.warnings))
     entries = {
         path: (Entry(-e.amp, e.node, e.dead) if predicate.marks(problem, path, e.node, e.dead) else e)
         for path, e in state.entries.items()
     }
     return TreeState(state.layout, "structured", entries=entries, warnings=list(state.warnings))
-
-
-def _marked_indices(layout, problem: ProblemSpec, predicate: MarkPredicate) -> list[int]:
-    from .problem_model import enumerate_paths
-
-    out = []
-    for path, terminal, _ in enumerate_paths(problem, predicate.depth_context):
-        if predicate.marks(problem, path, terminal, False):
-            out.append(layout.index_of(terminal, path))
-    return out
 
 
 def reflect_about(state: TreeState, axis: TreeState) -> TreeState:
@@ -223,11 +196,6 @@ def reflect_about(state: TreeState, axis: TreeState) -> TreeState:
         if path not in entries:
             entries[path] = Entry(-e.amp, e.node, e.dead)
     return TreeState(state.layout, "structured", entries=entries, warnings=warnings)
-
-
-def reflect_about_prepared(state: TreeState, plan: PreparationPlan) -> TreeState:
-    """Reflection about the clean superposition tree of ``plan``."""
-    return reflect_about(state, prepare_tree_state(plan, mode=state.mode))
 
 
 def optimal_iterations(a: float) -> int:
@@ -259,36 +227,19 @@ class _RunArrays:
 
     def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
         self.layout = state.layout
-        self.mode = state.mode
-        self.problem = problem
         self.warnings = list(state.warnings)
-        if state.mode == "dense":
-            from .problem_model import enumerate_paths
-
-            self.keys = None
-            self.nodes = None
-            self.dead = None
-            self.axis = state.vector.copy()
-            marked = _marked_indices(state.layout, problem, predicate)
-            self.marked = np.array(marked, dtype=np.intp)
-            self.n_paths = len(enumerate_paths(problem, predicate.depth_context))
-        else:
-            items = state.sorted_entries()
-            self.keys = [p for p, _ in items]
-            self.nodes = [e.node for _, e in items]
-            self.dead = [e.dead for _, e in items]
-            self.axis = np.array([e.amp for _, e in items], dtype=np.complex128)
-            self.marked = np.array(
-                [
-                    i
-                    for i, (p, e) in enumerate(items)
-                    if predicate.marks(problem, p, e.node, e.dead)
-                ],
-                dtype=np.intp,
-            )
-            self.n_paths = sum(
-                1 for p, e in items if not e.dead and len(p) == predicate.depth_context
-            )
+        items = state.sorted_entries()
+        self.keys = [p for p, _ in items]
+        self.nodes = [e.node for _, e in items]
+        self.dead = [e.dead for _, e in items]
+        self.axis = np.array([e.amp for _, e in items], dtype=np.complex128)
+        self.marked = np.array(
+            [i for i, (p, e) in enumerate(items) if predicate.marks(problem, p, e.node, e.dead)],
+            dtype=np.intp,
+        )
+        self.n_paths = sum(
+            1 for p, e in items if not e.dead and len(p) == predicate.depth_context
+        )
         self.m_marked = int(self.marked.size)
         self.amps = self.axis.copy()
 
@@ -301,33 +252,20 @@ class _RunArrays:
         chunk = self.amps[self.marked]
         return float(np.vdot(chunk, chunk).real)
 
-    def iterate(self, k: int, counter: QueryCounter) -> None:
+    def iterate(self, k: int) -> None:
+        """Apply k iterates: oracle, then reflection about the starting state."""
         for _ in range(k):
             self.amps[self.marked] = -self.amps[self.marked]
-            counter.increment()
             alpha = np.vdot(self.axis, self.amps)
             self.amps = 2 * alpha * self.axis - self.amps
 
-    def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int, int]:
+    def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
         probs = np.abs(self.amps) ** 2
         probs /= probs.sum()
         i = int(rng.choice(len(probs), p=probs))
-        if self.mode == "dense":
-            node, actions = self.layout.decode(i)
-            prefix: list[int] = []
-            s = self.problem.root
-            for a in actions:  # frozen configurations carry a shorter true prefix
-                nxt = self.problem.transition.get((s, a))
-                if nxt is None:
-                    break
-                prefix.append(a)
-                s = nxt
-            return tuple(prefix), node, i
-        return self.keys[i], self.nodes[i], i
+        return self.keys[i], self.nodes[i]
 
     def to_state(self) -> TreeState:
-        if self.mode == "dense":
-            return TreeState(self.layout, "dense", vector=self.amps.copy(), warnings=list(self.warnings))
         entries = {
             p: Entry(complex(self.amps[i]), self.nodes[i], self.dead[i])
             for i, p in enumerate(self.keys)
@@ -343,8 +281,8 @@ def amplify(
 ) -> tuple[TreeState, RunReport]:
     """Amplify the marked mass of ``x0`` per the schedule policy.
 
-    ``x0`` is taken to be the output of the preparation pipeline; the iterate
-    reflects about it. Policies:
+    ``x0`` is taken to be the output of the preparation pipeline, in structured
+    mode; the iterate reflects about it. Policies:
 
     * fixed_optimal -- k = floor(pi/4theta) computed from the simulated marked
       mass (privileged access a physical device would not have).
@@ -355,22 +293,24 @@ def amplify(
     """
     if x0.layout != plan.layout:
         raise LayoutMismatchError("state layout does not match the plan")
+    if x0.mode != "structured":
+        raise ValueError("amplify takes a structured state; dense mode is a test reference")
     if predicate.kind == HEURISTIC_THRESHOLD and plan.problem.heuristic is None:
         raise MissingHeuristicError("threshold predicate needs heuristic values")
     run = _RunArrays(x0, plan.problem, predicate)
-    counter = QueryCounter()
+    queries = 0
     warnings: list[str] = []
     a = run.marked_mass()
     theta = math.asin(math.sqrt(min(a, 1.0)))
 
-    def report(k: int, samples, predicted: float) -> RunReport:
+    def report(samples, predicted: float) -> RunReport:
         return RunReport(
             n_paths=run.n_paths,
             m_marked=run.m_marked,
             initial_probability=a,
             theta=theta,
-            iterations=k,
-            oracle_queries=counter.count,
+            iterations=queries,  # one oracle query per iterate
+            oracle_queries=queries,
             predicted_probability=predicted,
             measured_probability=run.marked_mass(),
             samples_drawn=len(samples),
@@ -384,17 +324,19 @@ def amplify(
     if sched.policy == POLICY_FIXED_OPTIMAL:
         if a == 0.0:
             warnings.append("no_marked_configurations")
-            return run.to_state(), report(0, (), 0.0)
+            return run.to_state(), report((), 0.0)
         k = optimal_iterations(min(a, 1.0))
         if k == 0:
             warnings.append("single_measurement_sufficient")
-        run.iterate(k, counter)
-        return run.to_state(), report(k, (), predicted_mass(a, k))
+        run.iterate(k)
+        queries = k
+        return run.to_state(), report((), predicted_mass(a, k))
 
     if sched.policy == POLICY_EXPLICIT:
         k = sched.iterations
-        run.iterate(k, counter)
-        return run.to_state(), report(k, (), predicted_mass(a, k))
+        run.iterate(k)
+        queries = k
+        return run.to_state(), report((), predicted_mass(a, k))
 
     # exponential_search
     rng = np.random.default_rng(sched.seed)
@@ -403,26 +345,25 @@ def amplify(
     # terminate on unsolvable instances; it is far above any plausible success time
     max_rounds = 64 + 4 * int(sqrt_n)
     m = 1.0
-    total_k = 0
     samples: list[tuple[tuple[int, ...], int]] = []
     last_k = 0
     for _ in range(max_rounds):
         k = int(rng.integers(0, max(int(m), 1)))
-        if counter.count + k > sched.max_oracle_queries:
+        if queries + k > sched.max_oracle_queries:
             warnings.append("budget_exhausted")
             break
         run.reset()
-        run.iterate(k, counter)
-        total_k += k
+        run.iterate(k)
+        queries += k
         last_k = k
-        path, node, _ = run.sample(rng)
+        path, node = run.sample(rng)
         samples.append((path, node))
         if predicate.holds_classically(plan.problem, path):
-            return run.to_state(), report(total_k, samples, predicted_mass(a, k))
+            return run.to_state(), report(samples, predicted_mass(a, k))
         m = min(sched.growth * m, sqrt_n)
-        if counter.count >= sched.max_oracle_queries:
+        if queries >= sched.max_oracle_queries:
             warnings.append("budget_exhausted")
             break
     else:
         warnings.append("round_limit_reached")
-    return run.to_state(), report(total_k, samples, predicted_mass(a, last_k))
+    return run.to_state(), report(samples, predicted_mass(a, last_k))

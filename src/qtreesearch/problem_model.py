@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ProblemFormatError(ValueError):
@@ -60,9 +60,6 @@ class ProblemSpec:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def step(self, state: int, action: int) -> int | None:
-        return self.transition.get((state, action))
-
     def successors(self, state: int) -> tuple[tuple[int, int], ...]:
         """(action, next state) pairs in action-index order."""
         return tuple((a, self.transition[(state, a)]) for a in self.admissible[state])
@@ -76,9 +73,6 @@ class ProblemSpec:
                 return None
             s = nxt
         return s
-
-    def is_goal(self, state: int) -> bool:
-        return state in self.goals
 
     def h(self, state: int) -> float:
         if self.heuristic is None:
@@ -153,7 +147,7 @@ STRATEGIES = ("bfs", "dfs_depth_limited", "iddfs", "greedy_best_first")
 _DIRECTIVES = ("problem", "actions", "state", "root", "goal", "edge", "h")
 
 
-def parse_problem(text: str, origin: str = "<string>") -> ProblemSpec:
+def parse_problem(text: str) -> ProblemSpec:
     """Parse a problem document (see the format notes in the README)."""
     lines: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -273,7 +267,7 @@ def load_problem(path) -> ProblemSpec:
     """Read and parse a problem file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_problem(text, origin=str(path))
+    return parse_problem(text)
 
 
 def write_problem(spec: ProblemSpec, path) -> None:

@@ -26,7 +26,6 @@ from .problem_model import (
     SearchLimits,
     branching_stats,
     classical_search,
-    enumerate_paths,
 )
 from .statevector import _measure_with_rng, derive_seed, init_ground
 from .tree_prep import (
@@ -171,53 +170,40 @@ def pruned_pipeline(plan: PipelinePlan, seed: int):
         raise MissingHeuristicError("pruning stages need heuristic values")
     full_plan = PreparationPlan.for_problem(problem, plan.depth)
     state = init_ground(full_plan.layout, problem.root)
-    level = 0
+    stages = {stage.level: stage for stage in plan.stages}
     stage_records: list[StageRecord] = []
-    stage_queries = 0
-    for stage in plan.stages:
-        while level < stage.level:
-            state = apply_action_superposition(state, problem, level)
-            state = apply_transition(state, problem, level)
-            level += 1
-        predicate = MarkPredicate.threshold_at(stage.level, stage.threshold)
-        stage_plan = PreparationPlan(problem, stage.level, full_plan.layout)
-        sub_sched = AmplificationSchedule(policy="explicit", iterations=stage.iterations, seed=seed)
-        new_state, sub = amplify(state, stage_plan, predicate, sub_sched)
-        if sub.initial_probability == 0.0:
+    for level in range(plan.depth):
+        stage = stages.get(level)
+        if stage is not None:
+            predicate = MarkPredicate.threshold_at(level, stage.threshold)
+            stage_plan = PreparationPlan(problem, level, full_plan.layout)
+            sub_sched = AmplificationSchedule(
+                policy="explicit", iterations=stage.iterations, seed=seed
+            )
+            new_state, sub = amplify(state, stage_plan, predicate, sub_sched)
+            if sub.initial_probability == 0.0:  # marks nothing: keep the state, charge nothing
+                sub = replace(sub, iterations=0, oracle_queries=0, measured_probability=0.0)
+            else:
+                state = new_state
             stage_records.append(
                 StageRecord(
-                    level=stage.level,
+                    level=level,
                     threshold=stage.threshold,
-                    iterations=0,
-                    oracle_queries=0,
-                    mass_before=0.0,
-                    mass_after=0.0,
-                    skipped=True,
+                    iterations=sub.iterations,
+                    oracle_queries=sub.oracle_queries,
+                    mass_before=sub.initial_probability,
+                    mass_after=sub.measured_probability,
+                    skipped=sub.initial_probability == 0.0,
                 )
             )
-            continue
-        state = new_state
-        stage_queries += sub.oracle_queries
-        stage_records.append(
-            StageRecord(
-                level=stage.level,
-                threshold=stage.threshold,
-                iterations=stage.iterations,
-                oracle_queries=sub.oracle_queries,
-                mass_before=sub.initial_probability,
-                mass_after=sub.measured_probability,
-            )
-        )
-    while level < plan.depth:
         state = apply_action_superposition(state, problem, level)
         state = apply_transition(state, problem, level)
-        level += 1
     terminal_sched = replace(plan.terminal_schedule, seed=seed)
     final, report = amplify(state, full_plan, plan.goal_predicate(), terminal_sched)
     skip_warnings = tuple("stage_skipped_zero_mass" for r in stage_records if r.skipped)
     report = replace(
         report,
-        oracle_queries=report.oracle_queries + stage_queries,
+        oracle_queries=report.oracle_queries + sum(r.oracle_queries for r in stage_records),
         stages=tuple(stage_records),
         warnings=report.warnings + skip_warnings,
     )

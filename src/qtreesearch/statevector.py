@@ -175,15 +175,21 @@ def inner_product(x: TreeState, y: TreeState) -> complex:
     return total
 
 
-def dense_entries(state: TreeState, problem: ProblemSpec) -> list[tuple[tuple[int, ...], Entry]]:
-    """Decode the nonzero amplitudes of a dense state back to path prefixes.
+def dense_entries(
+    state: TreeState, problem: ProblemSpec | None = None
+) -> list[tuple[tuple[int, ...], Entry]]:
+    """The entries of a state as (path prefix, entry) pairs, sorted by path.
 
-    The path is recovered by walking the transition function from the root;
-    the walk stops where the recorded action is no longer admissible (a frozen
-    dead-end configuration keeps its later registers in the ground value).
+    A structured state lists its entries. A dense state lists its nonzero
+    amplitudes; each path is recovered by walking the transition function of
+    ``problem`` from the root, and the walk stops where the recorded action is
+    no longer admissible (a frozen dead-end configuration keeps its later
+    registers in the ground value).
     """
     if state.mode != "dense":
         return state.sorted_entries()
+    if problem is None:
+        raise ValueError("dense mode needs the problem to decode paths")
     out = []
     for idx in np.nonzero(state.vector)[0]:
         node, actions = state.layout.decode(int(idx))
@@ -208,12 +214,7 @@ def _measure_with_rng(
     rng: np.random.Generator,
     problem: ProblemSpec | None = None,
 ) -> list[tuple[tuple[int, ...], int]]:
-    if state.mode == "dense":
-        if problem is None:
-            raise ValueError("dense-mode sampling needs the problem to decode paths")
-        items = dense_entries(state, problem)
-    else:
-        items = state.sorted_entries()
+    items = dense_entries(state, problem)
     probs = np.array([abs(e.amp) ** 2 for _, e in items], dtype=float)
     total = probs.sum()
     if total <= 0.0:
@@ -245,14 +246,8 @@ def derive_seed(seed: int, *streams: int) -> int:
 
 def state_dump_lines(state: TreeState, problem: ProblemSpec | None = None) -> list[str]:
     """Golden-test dump: one record per nonzero amplitude, sorted by path."""
-    if state.mode == "dense":
-        items = dense_entries(state, problem) if problem is not None else None
-        if items is None:
-            raise ValueError("dense-mode dump needs the problem to decode paths")
-    else:
-        items = state.sorted_entries()
     lines = []
-    for path, entry in items:
+    for path, entry in dense_entries(state, problem):
         if entry.amp == 0:
             continue
         lines.append(

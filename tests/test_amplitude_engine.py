@@ -8,7 +8,6 @@ from qtreesearch import (
     MarkPredicate,
     MissingHeuristicError,
     PreparationPlan,
-    QueryCounter,
     amplify,
     apply_oracle,
     enumerate_paths,
@@ -18,9 +17,9 @@ from qtreesearch import (
     predicted_mass,
     prepare_tree_state,
     reflect_about,
-    reflect_about_prepared,
 )
 from qtreesearch.generators import needle_problem
+from qtreesearch.statevector import dense_entries
 from conftest import DEFAULT_DEPTHS, load_fixture
 
 
@@ -46,9 +45,7 @@ def marked_mass(state, problem, predicate) -> float:
 def test_oracle_flips_only_goal(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     psi = prepare_tree_state(plan)
-    counter = QueryCounter()
-    flipped = apply_oracle(psi, binary7, MarkPredicate.goal_at(2), counter)
-    assert counter.count == 1
+    flipped = apply_oracle(psi, binary7, MarkPredicate.goal_at(2))
     assert flipped.amplitude((0, 1)) == pytest.approx(-0.5, abs=1e-15)
     for path in [(0, 0), (1, 0), (1, 1)]:
         assert flipped.amplitude(path) == pytest.approx(0.5, abs=1e-15)
@@ -58,9 +55,7 @@ def test_oracle_no_marks_is_identity():
     p = load_fixture("goalless")
     plan = PreparationPlan.for_problem(p, 2)
     psi = prepare_tree_state(plan)
-    counter = QueryCounter()
-    same = apply_oracle(psi, p, MarkPredicate.goal_at(2), counter)
-    assert counter.count == 1
+    same = apply_oracle(psi, p, MarkPredicate.goal_at(2))
     assert same.entries == psi.entries
 
 
@@ -103,7 +98,7 @@ def test_threshold_predicate_needs_heuristic(binary7):
 def test_reflection_fixes_prepared_state(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     psi = prepare_tree_state(plan)
-    reflected = reflect_about_prepared(psi, plan)
+    reflected = reflect_about(psi, prepare_tree_state(plan))
     assert inner_product(psi, reflected) == pytest.approx(1.0, abs=1e-12)
     for p, e in psi.entries.items():
         assert reflected.entries[p].amp == pytest.approx(e.amp, abs=1e-12)
@@ -128,7 +123,7 @@ def test_one_iterate_reaches_certainty(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     psi = prepare_tree_state(plan)
     pred = MarkPredicate.goal_at(2)
-    state = reflect_about_prepared(apply_oracle(psi, binary7, pred), plan)
+    state = reflect_about(apply_oracle(psi, binary7, pred), prepare_tree_state(plan))
     assert abs(state.amplitude((0, 1))) == pytest.approx(1.0, abs=1e-12)
     for path in [(0, 0), (1, 0), (1, 1)]:
         assert abs(state.amplitude(path)) <= 1e-12
@@ -240,7 +235,7 @@ def test_amplify_matches_manual_iterates(nonconst5):
         fast, _ = amplify(psi, plan, pred, sched)
         for p, e in fast.entries.items():
             assert e.amp == pytest.approx(manual.entries[p].amp, abs=1e-12)
-        manual = reflect_about_prepared(apply_oracle(manual, nonconst5, pred), plan)
+        manual = reflect_about(apply_oracle(manual, nonconst5, pred), prepare_tree_state(plan))
 
 
 @pytest.mark.parametrize("stem", ["binary7", "nonconst5", "deadend", "quad21", "comb6", "grid4"])
@@ -366,16 +361,30 @@ def test_norm_preserved_through_iterates():
 
 
 def test_amplify_dense_matches_structured(nonconst5):
+    # reference: two dense (oracle; reflection about the dense prepared state) steps
     plan = PreparationPlan.for_problem(nonconst5, 2)
     pred = MarkPredicate.goal_at(2)
     sched = AmplificationSchedule(policy="explicit", iterations=2)
     s_final, s_report = amplify(prepare_tree_state(plan), plan, pred, sched)
-    d_final, d_report = amplify(prepare_tree_state(plan, mode="dense"), plan, pred, sched)
+    axis = prepare_tree_state(plan, mode="dense")
+    d_final = axis
+    for _ in range(2):
+        d_final = reflect_about(apply_oracle(d_final, nonconst5, pred), axis)
     assert np.max(np.abs(s_final.to_dense().vector - d_final.vector)) <= 1e-12
-    assert s_report.measured_probability == pytest.approx(
-        d_report.measured_probability, abs=1e-12
+    d_mass = sum(
+        abs(e.amp) ** 2
+        for p, e in dense_entries(d_final, nonconst5)
+        if pred.marks(nonconst5, p, e.node, e.dead)
     )
-    assert s_report.n_paths == d_report.n_paths
+    assert s_report.measured_probability == pytest.approx(d_mass, abs=1e-12)
+    assert s_report.n_paths == len(enumerate_paths(nonconst5, 2))
+
+
+def test_amplify_rejects_dense_state(binary7):
+    plan = PreparationPlan.for_problem(binary7, 2)
+    dense = prepare_tree_state(plan, mode="dense")
+    with pytest.raises(ValueError):
+        amplify(dense, plan, MarkPredicate.goal_at(2), AmplificationSchedule())
 
 
 def test_certain_state_samples_only_goals(binary7):

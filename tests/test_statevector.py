@@ -154,9 +154,9 @@ def test_dump_empty_path_record():
 
 
 def test_structured_dense_agree_on_fixtures():
-    # same operator sequence (preparation, then a full amplification round)
-    # in both modes, on every fixture whose dense vector is materializable
-    from qtreesearch import AmplificationSchedule, amplify
+    # preparation in both modes, then structured amplify against the dense
+    # reference iterates, on every fixture whose dense vector is materializable
+    from qtreesearch import AmplificationSchedule, amplify, reflect_about
     from conftest import DEFAULT_DEPTHS, all_fixture_stems
 
     for stem in all_fixture_stems():
@@ -174,8 +174,11 @@ def test_structured_dense_agree_on_fixtures():
             (p, e.node, e.dead) for p, e in dense_entries(dense, problem)
         ] == [(p, e.node, e.dead) for p, e in structured.sorted_entries()]
         sched = AmplificationSchedule(policy="explicit", iterations=2)
-        s_final, _ = amplify(structured, plan, MarkPredicate.goal_at(depth), sched)
-        d_final, _ = amplify(dense, plan, MarkPredicate.goal_at(depth), sched)
+        pred = MarkPredicate.goal_at(depth)
+        s_final, _ = amplify(structured, plan, pred, sched)
+        d_final = dense
+        for _ in range(2):
+            d_final = reflect_about(apply_oracle(d_final, problem, pred), dense)
         diff = s_final.to_dense().vector - d_final.vector
         assert np.max(np.abs(diff)) <= 1e-12, stem
 
@@ -187,3 +190,13 @@ def test_dense_measure_matches_structured(binary7):
     s1 = measure_paths(structured, 20, seed=5)
     s2 = measure_paths(dense, 20, seed=5, problem=binary7)
     assert s1 == s2
+
+
+def test_dense_decoding_needs_the_problem(binary7):
+    plan = PreparationPlan.for_problem(binary7, 2)
+    dense = prepare_tree_state(plan, mode="dense")
+    with pytest.raises(ValueError, match="needs the problem"):
+        measure_paths(dense, 1, seed=0)
+    with pytest.raises(ValueError, match="needs the problem"):
+        state_dump_lines(dense)
+    assert state_dump_lines(dense, binary7) == state_dump_lines(prepare_tree_state(plan))
