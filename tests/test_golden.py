@@ -1,9 +1,15 @@
-"""CLI goldens: the stdout of every subcommand, in both formats, byte for byte.
+"""Goldens: the stdout of every subcommand, in both formats, and of the
+experiment scripts in ``scripts/``, byte for byte.
 
-Each case's expected stdout is ``tests/golden/<name>.txt``. A change that
+Each CLI case's expected stdout is ``tests/golden/<name>.txt``; script
+``<name>.py`` prints ``tests/golden/script-<name>.txt``. A change that
 alters a CLI line on purpose rewrites the golden and says which line changed
 and why; any other difference is a regression.
 """
+import io
+import runpy
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -73,3 +79,16 @@ def test_cli_output_matches_golden(name):
     status, text = cli_invoke(_argv(CASES[name]))
     assert status == CASES[name][3]
     assert text == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("name", ["pruning_demo", "scaling_sweep", "strategy_faceoff"])
+def test_script_output_matches_golden(name, monkeypatch):
+    script = SCRIPTS_DIR / f"{name}.py"
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(script), run_name="__main__")
+    assert out.getvalue() == (GOLDEN_DIR / f"script-{name}.txt").read_text(encoding="utf-8")
