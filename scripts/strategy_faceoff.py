@@ -9,7 +9,7 @@ losing to uninformed ones).
 """
 from pathlib import Path
 
-from qtreesearch import compare_strategies, load_problem
+from qtreesearch.cli_reporting import main as cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -23,9 +23,7 @@ CASES = [
 
 def main() -> None:
     for name, depth in CASES:
-        problem = load_problem(FIXTURES / name)
-        table = compare_strategies(problem, depth, seeds=tuple(range(5)))
-        print(table.render_text())
+        cli(["compare", str(FIXTURES / name), "--depth", str(depth), "--seeds", "5"])
         print()
 
 

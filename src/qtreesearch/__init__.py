@@ -26,7 +26,6 @@ from .statevector import (
     init_ground,
     inner_product,
     measure_paths,
-    state_dump_lines,
 )
 from .tree_prep import (
     CorruptedStateError,
@@ -62,3 +61,13 @@ from .search_drivers import (
 from .generators import grid_problem, needle_problem
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # imported on first use, so `python -m qtreesearch.cli_reporting` does not
+    # find its own module already loaded by the package
+    if name == "state_dump_lines":
+        from .cli_reporting import state_dump_lines
+
+        return state_dump_lines
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,6 +30,7 @@ HEURISTIC_THRESHOLD = "heuristic_threshold"
 POLICY_FIXED_OPTIMAL = "fixed_optimal"
 POLICY_EXPLICIT = "explicit"
 POLICY_EXPONENTIAL = "exponential_search"
+GROWTH = 1.2  # exponential-search range growth, BBHT's lambda = 6/5
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ class AmplificationSchedule:
 
     policy: str = POLICY_FIXED_OPTIMAL
     iterations: int = 0
-    growth: float = 1.2
     seed: int = 0
     max_oracle_queries: int = 10_000
 
@@ -92,8 +92,6 @@ class AmplificationSchedule:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.iterations < 0:
             raise ValueError("explicit iteration count must be >= 0")
-        if not 1.0 < self.growth <= 4.0 / 3.0:
-            raise ValueError("growth factor must lie in (1, 4/3]")
         if self.max_oracle_queries < 0:
             raise ValueError("query budget must be >= 0")
 
@@ -128,32 +126,6 @@ class RunReport:
     node_width: int
     samples: tuple[tuple[tuple[int, ...], int], ...] = ()
     stages: tuple[StageRecord, ...] = ()
-
-    def to_record(self) -> str:
-        """One flat key=value line; floats carry 12 significant digits."""
-        f = lambda x: format(x, ".12g")
-        parts = [
-            f"n_paths={self.n_paths}",
-            f"m_marked={self.m_marked}",
-            f"a={f(self.initial_probability)}",
-            f"theta={f(self.theta)}",
-            f"iterations={self.iterations}",
-            f"oracle_queries={self.oracle_queries}",
-            f"predicted_probability={f(self.predicted_probability)}",
-            f"measured_probability={f(self.measured_probability)}",
-            f"samples_drawn={self.samples_drawn}",
-            f"seed={self.seed}",
-            "warnings=" + ("|".join(self.warnings) if self.warnings else "-"),
-            f"paper_node_width={self.paper_node_width}",
-            f"node_width={self.node_width}",
-        ]
-        for i, st in enumerate(self.stages):
-            parts.append(
-                f"stage{i}=level:{st.level},tau:{f(st.threshold)},k:{st.iterations}"
-                f",queries:{st.oracle_queries},before:{f(st.mass_before)}"
-                f",after:{f(st.mass_after)},skipped:{int(st.skipped)}"
-            )
-        return " ".join(parts)
 
 
 def apply_oracle(state: TreeState, problem: ProblemSpec, predicate: MarkPredicate) -> TreeState:
@@ -360,7 +332,7 @@ def amplify(
         samples.append((path, node))
         if predicate.holds_classically(plan.problem, path):
             return run.to_state(), report(samples, predicted_mass(a, k))
-        m = min(sched.growth * m, sqrt_n)
+        m = min(GROWTH * m, sqrt_n)
         if queries >= sched.max_oracle_queries:
             warnings.append("budget_exhausted")
             break

@@ -4,6 +4,9 @@ Exit status contract: 0 when a solution was found (or a stats/prepare run
 succeeded), 1 when the search finished without a solution, 2 on input or
 usage errors. All randomness flows from --seed; identical invocations print
 byte-identical records.
+
+Every line the program prints is built here: each is a prefix (``[search] ``,
+``  ``, ``command=search ``, ...) followed by one ``_record``.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .search_drivers import (
     pruned_search,
     uninformed_search,
 )
-from .statevector import measure_paths, state_dump_lines
+from .statevector import TreeState, dense_entries, measure_paths
 from .tree_prep import PreparationPlan, prepare_tree_state
 
 EXIT_OK = 0
@@ -36,8 +39,14 @@ EXIT_NO_SOLUTION = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+def _fmt(x) -> str:
+    """Floats carry 12 significant digits; anything else prints as ``str``."""
+    return format(x, ".12g") if isinstance(x, float) else str(x)
+
+
+def _record(**fields) -> str:
+    """One flat ``key=value`` line."""
+    return " ".join(f"{key}={_fmt(value)}" for key, value in fields.items())
 
 
 def _path_str(path: tuple[int, ...] | None) -> str:
@@ -50,7 +59,6 @@ def _schedule(args: argparse.Namespace) -> AmplificationSchedule:
     return AmplificationSchedule(
         policy=args.policy,
         iterations=args.iterations,
-        growth=args.growth,
         seed=args.seed,
         max_oracle_queries=args.budget,
     )
@@ -64,34 +72,50 @@ def _emit_run(
     depth: int | None = None,
 ) -> None:
     depth = args.depth if depth is None else depth
+    r = report
     if args.output_format == "records":
-        print(
-            f"command={args.command} depth={depth} "
-            + report.to_record()
-            + f" solution={_path_str(path)}",
-            file=out,
+        stages = {
+            f"stage{i}": f"level:{st.level},tau:{_fmt(st.threshold)},k:{st.iterations}"
+            f",queries:{st.oracle_queries},before:{_fmt(st.mass_before)}"
+            f",after:{_fmt(st.mass_after)},skipped:{int(st.skipped)}"
+            for i, st in enumerate(r.stages)
+        }
+        line = _record(
+            command=args.command, depth=depth, n_paths=r.n_paths, m_marked=r.m_marked,
+            a=r.initial_probability, theta=r.theta, iterations=r.iterations,
+            oracle_queries=r.oracle_queries, predicted_probability=r.predicted_probability,
+            measured_probability=r.measured_probability, samples_drawn=r.samples_drawn,
+            seed=r.seed, warnings="|".join(r.warnings) or "-",
+            paper_node_width=r.paper_node_width, node_width=r.node_width,
+            **stages, solution=_path_str(path),
         )
+        print(line, file=out)
         return
     status = "found" if path is not None else "none"
-    print(f"[{args.command}] depth={depth} solution={status} path={_path_str(path)}", file=out)
-    print(
-        f"  paths={report.n_paths} marked={report.m_marked} a={_fmt(report.initial_probability)}"
-        f" iterations={report.iterations} oracle_queries={report.oracle_queries}",
-        file=out,
-    )
-    print(
-        f"  predicted={_fmt(report.predicted_probability)}"
-        f" measured={_fmt(report.measured_probability)} seed={report.seed}"
-        + (f" warnings={'|'.join(report.warnings)}" if report.warnings else ""),
-        file=out,
-    )
-    for i, st in enumerate(report.stages):
-        print(
-            f"  stage{i}: level={st.level} tau={_fmt(st.threshold)} k={st.iterations}"
-            f" mass {_fmt(st.mass_before)} -> {_fmt(st.mass_after)}"
-            + (" (skipped)" if st.skipped else ""),
-            file=out,
+    warnings = {"warnings": "|".join(r.warnings)} if r.warnings else {}
+    lines = [
+        f"[{args.command}] " + _record(depth=depth, solution=status, path=_path_str(path)),
+        "  " + _record(paths=r.n_paths, marked=r.m_marked, a=r.initial_probability,
+                       iterations=r.iterations, oracle_queries=r.oracle_queries),
+        "  " + _record(predicted=r.predicted_probability, measured=r.measured_probability,
+                       seed=r.seed, **warnings),
+    ]
+    for i, st in enumerate(r.stages):
+        lines.append(
+            f"  stage{i}: " + _record(level=st.level, tau=st.threshold, k=st.iterations)
+            + f" mass {_fmt(st.mass_before)} -> {_fmt(st.mass_after)}"
+            + (" (skipped)" if st.skipped else "")
         )
+    print("\n".join(lines), file=out)
+
+
+def state_dump_lines(state: TreeState, problem: ProblemSpec | None = None) -> list[str]:
+    """Golden-test dump: one record per nonzero amplitude, sorted by path."""
+    return [
+        _record(path=_path_str(path), node=e.node, re=e.amp.real, im=e.amp.imag)
+        for path, e in dense_entries(state, problem)
+        if e.amp != 0
+    ]
 
 
 def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
@@ -102,15 +126,14 @@ def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
             print(line, file=out)
         return EXIT_OK
     n_live = sum(1 for _, e in state.sorted_entries() if not e.dead)
-    n_dead = len(state.entries) - n_live
-    print(
-        f"[prepare] depth={args.depth} live_paths={n_live} dead_prefixes={n_dead}"
-        f" norm={_fmt(state.norm_sq())} total_width={plan.layout.total_width}",
-        file=out,
-    )
+    records = args.output_format == "records"
+    head = _record(depth=args.depth, live_paths=n_live, dead_prefixes=len(state.entries) - n_live,
+                   norm=state.norm_sq(), total_width=plan.layout.total_width)
+    print(("command=prepare " if records else "[prepare] ") + head, file=out)
     if args.samples > 0:
         for path, node in measure_paths(state, args.samples, args.seed):
-            print(f"  sample path={_path_str(path)} node={problem.states[node]}", file=out)
+            sample = _record(path=_path_str(path), node=problem.states[node])
+            print(("command=prepare " if records else "  sample ") + sample, file=out)
     return EXIT_OK
 
 
@@ -129,7 +152,7 @@ def _cmd_iddfs(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
         _emit_run(args, report, path if depth == len(reports) - 1 else None, out, depth=depth)
     if args.output_format == "table":
         total = sum(r.oracle_queries for r in reports)
-        print(f"[iddfs] cumulative_oracle_queries={total}", file=out)
+        print("[iddfs] " + _record(cumulative_oracle_queries=total), file=out)
     return EXIT_OK if path is not None else EXIT_NO_SOLUTION
 
 
@@ -158,13 +181,10 @@ def _cmd_greedy(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
     for step, report in enumerate(reports):
         _emit_run(args, report, None, out, depth=step)
     if args.output_format == "table":
-        print(
-            f"[greedy] solution={'found' if path is not None else 'none'}"
-            f" path={_path_str(path)}",
-            file=out,
-        )
-    elif args.output_format == "records":
-        print(f"command=greedy result solution={_path_str(path)}", file=out)
+        status = "found" if path is not None else "none"
+        print("[greedy] " + _record(solution=status, path=_path_str(path)), file=out)
+    else:
+        print("command=greedy result " + _record(solution=_path_str(path)), file=out)
     return EXIT_OK if path is not None else EXIT_NO_SOLUTION
 
 
@@ -173,32 +193,31 @@ def _cmd_compare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
     table = compare_strategies(
         problem, args.depth, seeds, query_budget=args.budget
     )
+    stats = dict(b_max=table.stats.b_max, b_avg=table.stats.b_avg, b_eff=table.stats.b_eff)
     if args.output_format == "records":
-        for line in table.render_records():
+        for row in table.rows:
+            line = _record(problem=table.problem, depth=table.depth, **stats, strategy=row.name,
+                           metric=row.metric, cost=row.cost, success_rate=row.success_rate)
             print(line, file=out)
-    else:
-        print(table.render_text(), file=out)
+        return EXIT_OK
+    print(f"problem {table.problem} depth {table.depth}: " + _record(**stats), file=out)
+    print(f"{'strategy':<28}{'metric':<16}{'cost':>16}{'success':>10}", file=out)
+    for row in table.rows:
+        print(
+            f"{row.name:<28}{row.metric:<16}{_fmt(row.cost):>16}{_fmt(row.success_rate):>10}",
+            file=out,
+        )
     return EXIT_OK
 
 
 def _cmd_stats(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
     stats = branching_stats(problem, args.depth)
     n_paths = len(enumerate_paths(problem, args.depth))
-    if args.output_format == "records":
-        print(
-            f"command=stats depth={args.depth} b_max={stats.b_max}"
-            f" b_avg={_fmt(stats.b_avg)} b_eff={_fmt(stats.b_eff)}"
-            f" nodes_generated={stats.nodes_generated}"
-            f" internal_nodes={stats.internal_nodes} paths={n_paths}",
-            file=out,
-        )
-    else:
-        print(
-            f"[stats] depth={args.depth} b_max={stats.b_max} b_avg={_fmt(stats.b_avg)}"
-            f" b_eff={_fmt(stats.b_eff)} nodes_generated={stats.nodes_generated}"
-            f" paths={n_paths}",
-            file=out,
-        )
+    records = args.output_format == "records"
+    internal = {"internal_nodes": stats.internal_nodes} if records else {}
+    line = _record(depth=args.depth, b_max=stats.b_max, b_avg=stats.b_avg, b_eff=stats.b_eff,
+                   nodes_generated=stats.nodes_generated, **internal, paths=n_paths)
+    print(("command=stats " if records else "[stats] ") + line, file=out)
     return EXIT_OK
 
 
@@ -257,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="fixed_optimal",
         )
         p.add_argument("--iterations", type=int, default=0, help="k for --policy explicit")
-        p.add_argument("--growth", type=float, default=1.2, help="exponential-search growth factor")
         p.add_argument("--budget", type=int, default=10_000, help="oracle-query budget")
         if name in ("search", "prune"):
             p.add_argument(

@@ -64,15 +64,21 @@ class ProblemSpec:
         """(action, next state) pairs in action-index order."""
         return tuple((a, self.transition[(state, a)]) for a in self.admissible[state])
 
-    def follow(self, path: tuple[int, ...]) -> int | None:
-        """Terminal state of ``path`` from the root, or None if inadmissible."""
+    def walk(self, path: tuple[int, ...]) -> tuple[int, int]:
+        """(state reached, actions taken) walking ``path`` from the root; the
+        walk stops before the first action that is not admissible."""
         s = self.root
-        for a in path:
+        for n, a in enumerate(path):
             nxt = self.transition.get((s, a))
             if nxt is None:
-                return None
+                return s, n
             s = nxt
-        return s
+        return s, len(path)
+
+    def follow(self, path: tuple[int, ...]) -> int | None:
+        """Terminal state of ``path`` from the root, or None if inadmissible."""
+        s, n = self.walk(path)
+        return s if n == len(path) else None
 
     def h(self, state: int) -> float:
         if self.heuristic is None:

@@ -6,7 +6,6 @@ that produced it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,30 +122,20 @@ def iterative_deepening_search(
 ) -> tuple[tuple[int, ...] | None, list[RunReport]]:
     """Run the uninformed search at depths 0..d_max, stopping at the first solution.
 
-    Depth zero is a classical root-goal check and costs no oracle queries.
+    Depth zero runs no iterate on the one-prefix tree: it tests the root and
+    costs no oracle queries.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    layout0 = PreparationPlan.for_problem(problem, 0).layout
-    root_is_goal = problem.root in problem.goals
-    reports = [
-        RunReport(
-            n_paths=1,
-            m_marked=int(root_is_goal),
-            initial_probability=float(root_is_goal),
-            theta=math.asin(float(root_is_goal)),
-            iterations=0,
-            oracle_queries=0,
-            predicted_probability=float(root_is_goal),
-            measured_probability=float(root_is_goal),
-            samples_drawn=0,
-            seed=sched.seed,
-            warnings=(),
-            paper_node_width=layout0.paper_node_width,
-            node_width=layout0.node_width,
-        )
-    ]
-    if root_is_goal:
+    plan0 = PreparationPlan.for_problem(problem, 0)
+    _, report0 = amplify(
+        prepare_tree_state(plan0),
+        plan0,
+        MarkPredicate.goal_at(0),
+        AmplificationSchedule(policy="explicit", seed=sched.seed),
+    )
+    reports = [report0]
+    if report0.m_marked:
         return (), reports
     for depth in range(1, d_max + 1):
         depth_sched = replace(sched, seed=derive_seed(sched.seed, depth))
@@ -293,31 +282,6 @@ class ComparisonTable:
     stats: BranchingStats
     rows: tuple[StrategyRow, ...]
     seeds: tuple[int, ...]
-
-    def render_text(self) -> str:
-        f = lambda x: format(x, ".12g")
-        lines = [
-            f"problem {self.problem} depth {self.depth}: "
-            f"b_max={self.stats.b_max} b_avg={f(self.stats.b_avg)} b_eff={f(self.stats.b_eff)}",
-            f"{'strategy':<28}{'metric':<16}{'cost':>16}{'success':>10}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.name:<28}{row.metric:<16}{f(row.cost):>16}{f(row.success_rate):>10}"
-            )
-        return "\n".join(lines)
-
-    def render_records(self) -> list[str]:
-        f = lambda x: format(x, ".12g")
-        prefix = (
-            f"problem={self.problem} depth={self.depth} b_max={self.stats.b_max} "
-            f"b_avg={f(self.stats.b_avg)} b_eff={f(self.stats.b_eff)}"
-        )
-        return [
-            f"{prefix} strategy={row.name} metric={row.metric} "
-            f"cost={f(row.cost)} success_rate={f(row.success_rate)}"
-            for row in self.rows
-        ]
 
 
 def compare_strategies(

@@ -193,17 +193,8 @@ def dense_entries(
     out = []
     for idx in np.nonzero(state.vector)[0]:
         node, actions = state.layout.decode(int(idx))
-        s = problem.root
-        prefix: list[int] = []
-        dead = False
-        for a in actions:
-            nxt = problem.transition.get((s, a))
-            if nxt is None:
-                dead = True
-                break
-            prefix.append(a)
-            s = nxt
-        out.append((tuple(prefix), Entry(complex(state.vector[idx]), node, dead)))
+        _, n = problem.walk(actions)
+        out.append((actions[:n], Entry(complex(state.vector[idx]), node, n < len(actions))))
     out.sort()
     return out
 
@@ -243,19 +234,3 @@ def derive_seed(seed: int, *streams: int) -> int:
     ss = np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, *[s & 0x7FFFFFFFFFFFFFFF for s in streams]])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
-
-def state_dump_lines(state: TreeState, problem: ProblemSpec | None = None) -> list[str]:
-    """Golden-test dump: one record per nonzero amplitude, sorted by path."""
-    lines = []
-    for path, entry in dense_entries(state, problem):
-        if entry.amp == 0:
-            continue
-        lines.append(
-            "path={} node={} re={} im={}".format(
-                ",".join(str(a) for a in path),
-                entry.node,
-                format(entry.amp.real, ".12g"),
-                format(entry.amp.imag, ".12g"),
-            )
-        )
-    return lines

@@ -20,7 +20,7 @@ from qtreesearch import (
 )
 from qtreesearch.generators import needle_problem
 from qtreesearch.statevector import dense_entries
-from conftest import DEFAULT_DEPTHS, load_fixture
+from conftest import DEFAULT_DEPTHS, cli_invoke, fixture_path, load_fixture
 
 
 def brute_force_goal_mass(problem, depth) -> float:
@@ -326,7 +326,7 @@ def test_exponential_search_deterministic_per_seed():
     pred = MarkPredicate.goal_at(5)
     r1 = amplify(psi, plan, pred, AmplificationSchedule(policy="exponential_search", seed=9))[1]
     r2 = amplify(psi, plan, pred, AmplificationSchedule(policy="exponential_search", seed=9))[1]
-    assert r1.to_record() == r2.to_record()
+    assert r1 == r2
     assert r1.samples == r2.samples
 
 
@@ -401,13 +401,15 @@ def test_certain_state_samples_only_goals(binary7):
 
 # -- report serialization ------------------------------------------------------
 
-def test_report_record_fields(binary7):
-    plan = PreparationPlan.for_problem(binary7, 2)
-    psi = prepare_tree_state(plan)
-    _, report = amplify(psi, plan, MarkPredicate.goal_at(2), AmplificationSchedule(seed=2))
-    record = report.to_record()
+def test_report_record_fields():
+    status, record = cli_invoke(
+        ["search", str(fixture_path("binary7")), "--depth", "2", "--seed", "2", "--format", "records"]
+    )
+    assert status == 0
     keys = [part.split("=", 1)[0] for part in record.split()]
     assert keys == [
+        "command",
+        "depth",
         "n_paths",
         "m_marked",
         "a",
@@ -421,6 +423,7 @@ def test_report_record_fields(binary7):
         "warnings",
         "paper_node_width",
         "node_width",
+        "solution",
     ]
     assert "a=0.25" in record
     assert "paper_node_width=2" in record and "node_width=3" in record

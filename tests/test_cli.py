@@ -225,6 +225,8 @@ def test_tau_marks_below_threshold_values(command):
 
 
 def test_state_dump_is_not_an_output_format():
-    with pytest.raises(SystemExit) as exc:
-        main(["search", str(fixture_path("binary7")), "--depth", "2", "--format", "state-dump"])
-    assert exc.value.code == 2
+    # nor is --growth an option: exponential search grows by a fixed 6/5
+    for rest in (["--format", "state-dump"], ["--growth", "1.3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", str(fixture_path("binary7")), "--depth", "2", *rest])
+        assert exc.value.code == 2

@@ -116,6 +116,9 @@ def test_enumerate_excludes_dead_prefixes():
     assert [t[0] for t in paths] == [(0, 0), (0, 1)]
     # the dead branch is a valid depth-1 path, though
     assert ((1,), 2, True) in enumerate_paths(p, 1)
+    # walking past the dead end stops at it, so the path does not follow
+    assert p.walk((1, 0)) == (2, 1)
+    assert p.follow((1, 0)) is None
 
 
 def test_paths_revalidate(binary7):

@@ -21,7 +21,7 @@ from qtreesearch import (
     uninformed_search,
 )
 from qtreesearch.generators import needle_problem
-from conftest import load_fixture
+from conftest import cli_invoke, fixture_path, load_fixture
 
 
 def fixed(seed=0, **kw):
@@ -322,7 +322,11 @@ def test_compare_reports_branching_skew():
     assert table.stats.b_max == 3
     assert table.stats.b_avg < table.stats.b_max
     assert table.stats.b_eff == pytest.approx(table.stats.b_avg, abs=0.2)
-    lines = table.render_text().splitlines()
+    status, text = cli_invoke(
+        ["compare", str(fixture_path("nonconst5")), "--depth", "2", "--seeds", "1"]
+    )
+    assert status == 0
+    lines = text.splitlines()
     assert "b_eff" in lines[0]
     assert len(lines) == 2 + len(table.rows)
 
@@ -341,7 +345,11 @@ def test_compare_informed_classical_beats_uninformed_quantum():
 
 
 def test_compare_records_are_flat():
-    p = load_fixture("binary7")
-    table = compare_strategies(p, 2, seeds=(0,))
-    for line in table.render_records():
+    status, text = cli_invoke(
+        ["compare", str(fixture_path("nonconst5")), "--depth", "2", "--seeds", "1", "--format", "records"]
+    )
+    assert status == 0
+    lines = text.splitlines()
+    assert lines
+    for line in lines:
         assert all("=" in part for part in line.split())
