@@ -1,7 +1,6 @@
 """Quantum tree search simulator for constant and non-constant branching factors."""
 
 from .problem_model import (
-    BranchingStats,
     MissingHeuristicError,
     ProblemFormatError,
     ProblemSpec,
@@ -17,12 +16,9 @@ from .problem_model import (
     write_problem,
 )
 from .statevector import (
-    Entry,
     LayoutMismatchError,
     RegisterLayout,
-    TreeState,
     ZeroNormError,
-    derive_seed,
     init_ground,
     inner_product,
     measure_paths,
@@ -38,8 +34,6 @@ from .tree_prep import (
 from .amplitude_engine import (
     AmplificationSchedule,
     MarkPredicate,
-    RunReport,
-    StageRecord,
     amplify,
     apply_oracle,
     optimal_iterations,
@@ -47,10 +41,8 @@ from .amplitude_engine import (
     reflect_about,
 )
 from .search_drivers import (
-    ComparisonTable,
     PipelinePlan,
     PruningStage,
-    StrategyRow,
     compare_strategies,
     greedy_quantum_loop,
     iterative_deepening_search,
@@ -58,16 +50,5 @@ from .search_drivers import (
     pruned_search,
     uninformed_search,
 )
-from .generators import grid_problem, needle_problem
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # imported on first use, so `python -m qtreesearch.cli_reporting` does not
-    # find its own module already loaded by the package
-    if name == "state_dump_lines":
-        from .cli_reporting import state_dump_lines
-
-        return state_dump_lines
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

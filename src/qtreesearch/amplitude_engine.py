@@ -6,7 +6,9 @@ the marked mass after k iterations follows sin^2((2k+1) asin(sqrt(a)))
 exactly, whatever the amplitude profile. Non-constant branching only changes
 a, never the two-dimensional rotation.
 
-Cost is counted in phase-oracle applications, one per iterate.
+Cost is counted in phase-oracle applications, one per iterate. ``amplify``
+runs the iterate on the structured state; ``apply_oracle`` and
+``reflect_about`` are its dense reference, which tests compare against.
 """
 from __future__ import annotations
 
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import MissingHeuristicError, ProblemSpec, enumerate_paths
-from .statevector import (
-    Entry,
-    LayoutMismatchError,
-    TreeState,
-    inner_product,
-)
+from .statevector import Entry, LayoutMismatchError, TreeState
 from .tree_prep import PreparationPlan
 
 GOAL = "goal"
@@ -129,45 +126,21 @@ class RunReport:
 
 
 def apply_oracle(state: TreeState, problem: ProblemSpec, predicate: MarkPredicate) -> TreeState:
-    """Flip the amplitude sign of every marked configuration (one oracle query)."""
-    if state.mode == "dense":
-        vec = state.vector.copy()
-        for path, terminal, _ in enumerate_paths(problem, predicate.depth_context):
-            if predicate.marks(problem, path, terminal, False):
-                idx = state.layout.index_of(terminal, path)
-                vec[idx] = -vec[idx]
-        return TreeState(state.layout, "dense", vector=vec, warnings=list(state.warnings))
-    entries = {
-        path: (Entry(-e.amp, e.node, e.dead) if predicate.marks(problem, path, e.node, e.dead) else e)
-        for path, e in state.entries.items()
-    }
-    return TreeState(state.layout, "structured", entries=entries, warnings=list(state.warnings))
+    """Dense reference oracle: flip the sign of every marked configuration."""
+    vec = state.to_dense().vector.copy()
+    for path, terminal, _ in enumerate_paths(problem, predicate.depth_context):
+        if predicate.marks(problem, path, terminal, False):
+            idx = state.layout.index_of(terminal, path)
+            vec[idx] = -vec[idx]
+    return TreeState(state.layout, "dense", vector=vec)
 
 
 def reflect_about(state: TreeState, axis: TreeState) -> TreeState:
-    """(2|axis><axis| - I) |state>; both states must share a layout."""
+    """Dense reference reflection (2|axis><axis| - I) |state>; the layouts must match."""
     if state.layout != axis.layout:
         raise LayoutMismatchError("reflection axis has a different register layout")
-    alpha = inner_product(axis, state)
-    warnings = list(state.warnings)
-    if state.mode == "dense" or axis.mode == "dense":
-        sv = state.to_dense().vector if state.mode == "structured" else state.vector
-        av = axis.to_dense().vector if axis.mode == "structured" else axis.vector
-        return TreeState(state.layout, "dense", vector=2 * alpha * av - sv, warnings=warnings)
-    entries: dict[tuple[int, ...], Entry] = {}
-    for path, e in axis.entries.items():
-        other = state.entries.get(path)
-        if other is not None and other.node != e.node:
-            raise ValueError(
-                "states disagree on the node value of a shared prefix; "
-                "they come from different preparation pipelines"
-            )
-        amp = 2 * alpha * e.amp - (other.amp if other is not None else 0j)
-        entries[path] = Entry(amp, e.node, e.dead)
-    for path, e in state.entries.items():
-        if path not in entries:
-            entries[path] = Entry(-e.amp, e.node, e.dead)
-    return TreeState(state.layout, "structured", entries=entries, warnings=warnings)
+    sv, av = state.to_dense().vector, axis.to_dense().vector
+    return TreeState(state.layout, "dense", vector=2 * np.vdot(av, sv) * av - sv)
 
 
 def optimal_iterations(a: float) -> int:
@@ -199,7 +172,6 @@ class _RunArrays:
 
     def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
         self.layout = state.layout
-        self.warnings = list(state.warnings)
         items = state.sorted_entries()
         self.keys = [p for p, _ in items]
         self.nodes = [e.node for _, e in items]
@@ -242,7 +214,7 @@ class _RunArrays:
             p: Entry(complex(self.amps[i]), self.nodes[i], self.dead[i])
             for i, p in enumerate(self.keys)
         }
-        return TreeState(self.layout, "structured", entries=entries, warnings=list(self.warnings))
+        return TreeState(self.layout, "structured", entries=entries)
 
 
 def amplify(

@@ -56,9 +56,11 @@ def _path_str(path: tuple[int, ...] | None) -> str:
 
 
 def _schedule(args: argparse.Namespace) -> AmplificationSchedule:
+    if args.iterations is not None and args.policy != "explicit":
+        raise ValueError("--iterations needs --policy explicit")
     return AmplificationSchedule(
         policy=args.policy,
-        iterations=args.iterations,
+        iterations=args.iterations or 0,
         seed=args.seed,
         max_oracle_queries=args.budget,
     )
@@ -119,6 +121,8 @@ def state_dump_lines(state: TreeState, problem: ProblemSpec | None = None) -> li
 
 
 def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     plan = PreparationPlan.for_problem(problem, args.depth)
     state = prepare_tree_state(plan)
     if args.state_dump:
@@ -130,10 +134,9 @@ def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
     head = _record(depth=args.depth, live_paths=n_live, dead_prefixes=len(state.entries) - n_live,
                    norm=state.norm_sq(), total_width=plan.layout.total_width)
     print(("command=prepare " if records else "[prepare] ") + head, file=out)
-    if args.samples > 0:
-        for path, node in measure_paths(state, args.samples, args.seed):
-            sample = _record(path=_path_str(path), node=problem.states[node])
-            print(("command=prepare " if records else "  sample ") + sample, file=out)
+    for path, node in measure_paths(state, args.samples, args.seed):
+        sample = _record(path=_path_str(path), node=problem.states[node])
+        print(("command=prepare " if records else "  sample ") + sample, file=out)
     return EXIT_OK
 
 
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("fixed_optimal", "explicit", "exponential_search"),
             default="fixed_optimal",
         )
-        p.add_argument("--iterations", type=int, default=0, help="k for --policy explicit")
+        p.add_argument("--iterations", type=int, default=None, help="k for --policy explicit")
         p.add_argument("--budget", type=int, default=10_000, help="oracle-query budget")
         if name in ("search", "prune"):
             p.add_argument(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from .problem_model import ProblemSpec
 
+TIE_BREAK = 1e-6  # heuristic weight of the state index in grid_problem
+
 
 def needle_problem(depth: int, branching: int = 2) -> ProblemSpec:
     """Constant-branching instance with exactly one goal path of length ``depth``.
@@ -32,16 +34,12 @@ def needle_problem(depth: int, branching: int = 2) -> ProblemSpec:
     for j in range(branching):
         transition[(sink, j)] = sink
         transition[(depth, j)] = sink  # goal state keeps branching so deeper trees stay uniform
-    per_state: list[list[int]] = [[] for _ in states]
-    for (s, a) in transition:
-        per_state[s].append(a)
     heuristic = {i: float(depth - i) for i in range(depth + 1)}
     heuristic[sink] = float(depth + 1)
     spec = ProblemSpec(
         name=f"needle_b{branching}_d{depth}",
         states=tuple(states),
         actions=tuple(actions),
-        admissible=tuple(tuple(sorted(acts)) for acts in per_state),
         transition=transition,
         root=0,
         goals=frozenset({depth}),
@@ -50,24 +48,17 @@ def needle_problem(depth: int, branching: int = 2) -> ProblemSpec:
     return spec.validate()
 
 
-def grid_problem(
-    width: int,
-    height: int,
-    goal: tuple[int, int] | None = None,
-    tie_break: float = 1e-6,
-) -> ProblemSpec:
+def grid_problem(width: int, height: int) -> ProblemSpec:
     """Four-connected grid route finding with an exact-distance heuristic.
 
-    Branching is non-constant (2 at corners, 3 on edges, 4 inside). The
-    heuristic is the Manhattan distance to the goal plus ``tie_break`` times
-    the state index, which makes greedy descent tie-free while preserving the
-    distance ordering.
+    The root is the corner (0, 0) and the goal the opposite corner. Branching
+    is non-constant (2 at corners, 3 on edges, 4 inside). The heuristic is the
+    Manhattan distance to the goal plus ``TIE_BREAK`` times the state index,
+    which makes greedy descent tie-free while preserving the distance ordering.
     """
     if width < 1 or height < 1:
         raise ValueError("grid must be at least 1x1")
-    gx, gy = goal if goal is not None else (width - 1, height - 1)
-    if not (0 <= gx < width and 0 <= gy < height):
-        raise ValueError("goal outside the grid")
+    gx, gy = width - 1, height - 1
 
     def idx(x: int, y: int) -> int:
         return x * height + y
@@ -82,11 +73,8 @@ def grid_problem(
                 nx, ny = x + dx, y + dy
                 if 0 <= nx < width and 0 <= ny < height:
                     transition[(idx(x, y), a)] = idx(nx, ny)
-    per_state: list[list[int]] = [[] for _ in states]
-    for (s, a) in transition:
-        per_state[s].append(a)
     heuristic = {
-        idx(x, y): abs(gx - x) + abs(gy - y) + tie_break * idx(x, y)
+        idx(x, y): abs(gx - x) + abs(gy - y) + TIE_BREAK * idx(x, y)
         for x in range(width)
         for y in range(height)
     }
@@ -94,7 +82,6 @@ def grid_problem(
         name=f"grid{width}x{height}",
         states=tuple(states),
         actions=tuple(actions),
-        admissible=tuple(tuple(sorted(acts)) for acts in per_state),
         transition=transition,
         root=idx(0, 0),
         goals=frozenset({idx(gx, gy)}),

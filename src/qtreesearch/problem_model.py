@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ProblemFormatError(ValueError):
@@ -38,15 +39,13 @@ class ProblemSpec:
     """Immutable search problem over dense state/action indices.
 
     ``states`` and ``actions`` hold the external identifiers; indices into
-    those tuples are used everywhere else. ``admissible[s]`` is sorted by
-    action index, so path enumeration order is canonical regardless of the
-    order edges were declared in.
+    those tuples are used everywhere else. ``transition`` is defined exactly
+    on the admissible (state, action) pairs.
     """
 
     name: str
     states: tuple[str, ...]
     actions: tuple[str, ...]
-    admissible: tuple[tuple[int, ...], ...]
     transition: dict[tuple[int, int], int]
     root: int
     goals: frozenset[int]
@@ -59,6 +58,15 @@ class ProblemSpec:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def admissible(self) -> tuple[tuple[int, ...], ...]:
+        """Admissible actions of each state, sorted by action index, so path
+        enumeration order is canonical whatever order edges were declared in."""
+        per_state: list[list[int]] = [[] for _ in self.states]
+        for s, a in sorted(self.transition):
+            per_state[s].append(a)
+        return tuple(tuple(acts) for acts in per_state)
 
     def successors(self, state: int) -> tuple[tuple[int, int], ...]:
         """(action, next state) pairs in action-index order."""
@@ -95,28 +103,11 @@ class ProblemSpec:
         n, m = self.n_states, self.n_actions
         if not 0 <= self.root < n:
             raise ValidationError(f"root index {self.root} outside state range")
-        if len(self.admissible) != n:
-            raise ValidationError("admissible map must cover every state")
-        for s, acts in enumerate(self.admissible):
-            if list(acts) != sorted(set(acts)):
-                raise ValidationError(f"admissible set of {self.states[s]!r} not sorted/unique")
-            for a in acts:
-                if not 0 <= a < m:
-                    raise ValidationError(f"action index {a} at state {self.states[s]!r} outside alphabet")
-        pairs = {(s, a) for s, acts in enumerate(self.admissible) for a in acts}
-        if set(self.transition) != pairs:
-            extra = set(self.transition) - pairs
-            missing = pairs - set(self.transition)
-            if extra:
-                s, a = next(iter(extra))
-                raise ValidationError(
-                    f"transition defined on non-admissible pair ({self.states[s]!r}, {self.actions[a]!r})"
-                )
-            s, a = next(iter(missing))
-            raise ValidationError(
-                f"transition missing for admissible pair ({self.states[s]!r}, {self.actions[a]!r})"
-            )
         for (s, a), t in self.transition.items():
+            if not 0 <= s < n:
+                raise ValidationError(f"transition from state index {s} outside state range")
+            if not 0 <= a < m:
+                raise ValidationError(f"action index {a} at state {self.states[s]!r} outside alphabet")
             if not 0 <= t < n:
                 raise ValidationError(f"transition target {t} outside state range")
         if not self.goals <= set(range(n)):
@@ -252,15 +243,10 @@ def parse_problem(text: str) -> ProblemSpec:
     if root is None:
         raise ProblemFormatError("missing 'root' line")
 
-    per_state: list[list[int]] = [[] for _ in state_ids]
-    for (s, a) in transition:
-        per_state[s].append(a)
-    admissible = tuple(tuple(sorted(acts)) for acts in per_state)
     spec = ProblemSpec(
         name=name,
         states=tuple(state_ids),
         actions=tuple(actions),
-        admissible=admissible,
         transition=transition,
         root=root,
         goals=frozenset(goals),

@@ -35,6 +35,7 @@ from .tree_prep import (
 )
 
 _VALIDATION_ATTEMPTS = 3  # measurement retries before a run is declared failed
+_MAX_EXPANSIONS = 100_000  # classical expansion cap in compare_strategies
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,8 @@ def greedy_quantum_loop(
     """
     if problem.heuristic is None:
         raise MissingHeuristicError("greedy loop requires heuristic values")
+    if step_budget < 0:
+        raise ValueError("query budget must be >= 0")
     committed: list[int] = []
     reports: list[RunReport] = []
     current = problem.root
@@ -288,14 +291,13 @@ def compare_strategies(
     problem: ProblemSpec,
     depth: int,
     seeds: tuple[int, ...],
-    max_expansions: int = 100_000,
     query_budget: int = 10_000,
 ) -> ComparisonTable:
     """Classical expansions versus quantum oracle queries on one instance."""
     if not seeds:
         raise ValueError("need at least one seed")
     stats = branching_stats(problem, depth)
-    limits = SearchLimits(max_depth=depth, max_expansions=max_expansions)
+    limits = SearchLimits(max_depth=depth, max_expansions=_MAX_EXPANSIONS)
     rows: list[StrategyRow] = []
     classical = ["bfs", "dfs_depth_limited", "iddfs"]
     if problem.heuristic is not None:

@@ -5,8 +5,9 @@ Two representations are kept deliberately:
 * structured -- one amplitude per admissible path prefix. The node value and
   a dead flag are stored alongside each prefix; configurations that are not
   admissible prefixes implicitly hold amplitude zero.
-* dense -- the full 2**total_width complex vector, used to test the claim
-  that the structured bookkeeping is faithful rather than to assume it.
+* dense -- the full 2**total_width complex vector, the test reference: it
+  checks that the structured bookkeeping is faithful rather than assuming it,
+  and inner products, the oracle and the reflection are defined on it alone.
 
 Register convention for dense indices: the node register occupies the most
 significant bits, followed by the level-0 action register down to the
@@ -86,7 +87,7 @@ class RegisterLayout:
 class TreeState:
     """Mutable-by-replacement state container; operators return fresh states."""
 
-    __slots__ = ("layout", "mode", "entries", "vector", "warnings")
+    __slots__ = ("layout", "mode", "entries", "vector")
 
     def __init__(
         self,
@@ -94,7 +95,6 @@ class TreeState:
         mode: str = "structured",
         entries: dict[tuple[int, ...], Entry] | None = None,
         vector: np.ndarray | None = None,
-        warnings: list[str] | None = None,
     ):
         if mode not in ("structured", "dense"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -102,16 +102,6 @@ class TreeState:
         self.mode = mode
         self.entries = entries if entries is not None else {}
         self.vector = vector
-        self.warnings = warnings if warnings is not None else []
-
-    def copy(self) -> "TreeState":
-        return TreeState(
-            self.layout,
-            self.mode,
-            dict(self.entries),
-            None if self.vector is None else self.vector.copy(),
-            list(self.warnings),
-        )
 
     def norm_sq(self) -> float:
         if self.mode == "dense":
@@ -121,16 +111,10 @@ class TreeState:
     def sorted_entries(self) -> list[tuple[tuple[int, ...], Entry]]:
         return sorted(self.entries.items())
 
-    def amplitude(self, path: tuple[int, ...]) -> complex:
-        if self.mode == "dense":
-            raise ValueError("amplitude-by-path lookup needs structured mode")
-        entry = self.entries.get(tuple(path))
-        return entry.amp if entry is not None else 0j
-
     def to_dense(self) -> "TreeState":
         """Materialize the full joint-register vector (structured metadata suffices)."""
         if self.mode == "dense":
-            return self.copy()
+            return self
         if self.layout.total_width > _DENSE_WIDTH_CAP:
             raise ValueError(
                 f"refusing dense vector of 2**{self.layout.total_width} amplitudes"
@@ -138,41 +122,22 @@ class TreeState:
         vec = np.zeros(1 << self.layout.total_width, dtype=np.complex128)
         for path, entry in self.entries.items():
             vec[self.layout.index_of(entry.node, path)] = entry.amp
-        return TreeState(self.layout, "dense", vector=vec, warnings=list(self.warnings))
+        return TreeState(self.layout, "dense", vector=vec)
 
 
 def init_ground(layout: RegisterLayout, root: int, mode: str = "structured") -> TreeState:
     """All registers in the ground value: amplitude 1 on the empty prefix at the root."""
     if not 0 <= root < (1 << layout.node_width):
         raise ValueError(f"root index {root} does not fit the node register")
-    if mode == "dense":
-        if layout.total_width > _DENSE_WIDTH_CAP:
-            raise ValueError("layout too wide for dense mode")
-        vec = np.zeros(1 << layout.total_width, dtype=np.complex128)
-        vec[layout.index_of(root, ())] = 1.0
-        return TreeState(layout, "dense", vector=vec)
-    return TreeState(layout, "structured", entries={(): Entry(1.0 + 0j, root, False)})
+    state = TreeState(layout, "structured", entries={(): Entry(1.0 + 0j, root, False)})
+    return state.to_dense() if mode == "dense" else state
 
 
 def inner_product(x: TreeState, y: TreeState) -> complex:
-    """<x|y> over the joint register."""
+    """<x|y> over the joint register, computed on the dense reference vectors."""
     if x.layout != y.layout:
         raise LayoutMismatchError("states have different register layouts")
-    if x.mode == "dense" or y.mode == "dense":
-        xv = x.to_dense().vector if x.mode == "structured" else x.vector
-        yv = y.to_dense().vector if y.mode == "structured" else y.vector
-        return complex(np.vdot(xv, yv))
-    total = 0j
-    small, large = (x.entries, y.entries) if len(x.entries) <= len(y.entries) else (y.entries, x.entries)
-    for path, entry in small.items():
-        other = large.get(path)
-        if other is None or other.node != entry.node:
-            continue  # distinct node values at the same prefix are orthogonal
-        if small is x.entries:
-            total += entry.amp.conjugate() * other.amp
-        else:
-            total += other.amp.conjugate() * entry.amp
-    return total
+    return complex(np.vdot(x.to_dense().vector, y.to_dense().vector))
 
 
 def dense_entries(

@@ -26,9 +26,6 @@ class CorruptedStateError(RuntimeError):
     """A live configuration holds an action with no defined transition."""
 
 
-NON_UNITARY_WARNING = "non_unitary_transition_model"
-
-
 @dataclass(frozen=True)
 class PreparationPlan:
     problem: ProblemSpec
@@ -67,24 +64,23 @@ def action_images(
 
 def transition_images(
     problem: ProblemSpec, layout: RegisterLayout, level: int, index: int
-) -> tuple[int, bool]:
+) -> int:
     """Image of one basis configuration under the level-``level`` transition step.
 
-    Returns (target index, moved flag). Frozen dead-end configurations (no
-    admissible actions, ground action value) are fixed points; a populated
-    action with no defined transition signals a corrupted state.
+    Frozen dead-end configurations (no admissible actions, ground action
+    value) are fixed points; a populated action with no defined transition
+    signals a corrupted state.
     """
     node, actions = layout.decode(index)
     a = actions[level]
     target = problem.transition.get((node, a))
     if target is None:
         if a == 0 and (node >= problem.n_states or not problem.admissible[node]):
-            return index, False
+            return index
         raise CorruptedStateError(
             f"no transition for (state {node}, action {a}) at level {level}"
         )
-    delta = (target - node) << (layout.depth * layout.action_width)
-    return index + delta, True
+    return index + ((target - node) << (layout.depth * layout.action_width))
 
 
 def apply_action_superposition(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
@@ -98,7 +94,7 @@ def apply_action_superposition(state: TreeState, problem: ProblemSpec, level: in
             amp = state.vector[idx]
             for target, coef in action_images(problem, layout, level, int(idx)):
                 new[target] += coef * amp
-        return TreeState(layout, "dense", vector=new, warnings=list(state.warnings))
+        return TreeState(layout, "dense", vector=new)
 
     entries: dict[tuple[int, ...], Entry] = {}
     for path, entry in state.entries.items():
@@ -116,7 +112,7 @@ def apply_action_superposition(state: TreeState, problem: ProblemSpec, level: in
         coef = 1.0 / math.sqrt(len(acts))
         for a in acts:
             entries[path + (a,)] = Entry(entry.amp * coef, entry.node, False)
-    return TreeState(layout, "structured", entries=entries, warnings=list(state.warnings))
+    return TreeState(layout, "structured", entries=entries)
 
 
 def apply_transition(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
@@ -124,23 +120,11 @@ def apply_transition(state: TreeState, problem: ProblemSpec, level: int) -> Tree
     layout = state.layout
     if not 0 <= level < layout.depth:
         raise ValueError(f"level {level} outside layout depth {layout.depth}")
-    warnings = list(state.warnings)
-    seen_targets: dict[tuple[int, int], int] = {}
-
-    def check_injective(action: int, source: int, target: int) -> None:
-        prior = seen_targets.setdefault((action, target), source)
-        if prior != source and NON_UNITARY_WARNING not in warnings:
-            warnings.append(NON_UNITARY_WARNING)
-
     if state.mode == "dense":
         new = np.zeros_like(state.vector)
         for idx in np.nonzero(state.vector)[0]:
-            target, moved = transition_images(problem, layout, level, int(idx))
-            if moved:
-                node, actions = layout.decode(int(idx))
-                check_injective(actions[level], node, layout.decode(target)[0])
-            new[target] += state.vector[idx]
-        return TreeState(layout, "dense", vector=new, warnings=warnings)
+            new[transition_images(problem, layout, level, int(idx))] += state.vector[idx]
+        return TreeState(layout, "dense", vector=new)
 
     entries: dict[tuple[int, ...], Entry] = {}
     for path, entry in state.entries.items():
@@ -157,9 +141,8 @@ def apply_transition(state: TreeState, problem: ProblemSpec, level: int) -> Tree
             raise CorruptedStateError(
                 f"no transition for (state {entry.node}, action {a}) at level {level}"
             )
-        check_injective(a, entry.node, target)
         entries[path] = Entry(entry.amp, target, False)
-    return TreeState(layout, "structured", entries=entries, warnings=warnings)
+    return TreeState(layout, "structured", entries=entries)
 
 
 def prepare_tree_state(plan: PreparationPlan, mode: str = "structured") -> TreeState:

@@ -25,7 +25,7 @@ from qtreesearch import (
     reflect_about,
 )
 from qtreesearch.generators import needle_problem
-from qtreesearch.statevector import dense_entries
+from qtreesearch.statevector import TreeState, dense_entries
 from qtreesearch.tree_prep import action_images, transition_images
 from conftest import DEFAULT_DEPTHS, all_fixture_stems, cli_invoke, fixture_path, load_fixture
 
@@ -77,7 +77,7 @@ def test_criterion_2_certainty_single_iterate():
         final, report = amplify(psi, plan, MarkPredicate.goal_at(2), sched)
         assert report.n_paths == 4 and report.m_marked == 1
         assert abs(report.measured_probability - 1.0) <= 1e-12
-        assert abs(abs(final.amplitude((0, 1))) - 1.0) <= 1e-12
+        assert abs(abs(final.entries[(0, 1)].amp) - 1.0) <= 1e-12
 
 
 def test_criterion_3_closed_form_sweep():
@@ -168,7 +168,7 @@ def test_criterion_6_unitarity_proxy():
 
                 domain = [layout.index_of(e.node, p) for p, e in state.sorted_entries()]
                 images = [
-                    {transition_images(problem, layout, level, d)[0]: 1.0} for d in domain
+                    {transition_images(problem, layout, level, d): 1.0} for d in domain
                 ]
                 assert _gram_defect(images) <= 1e-12, (stem, level, "transition")
                 state = apply_transition(state, problem, level)
@@ -188,7 +188,8 @@ def test_criterion_6_unitarity_proxy():
             psi_s = prepare_tree_state(plan)
             keys = sorted(psi_s.entries)
             for _ in range(3):
-                x, y = psi_s.copy(), psi_s.copy()
+                x = TreeState(psi_s.layout, entries=dict(psi_s.entries))
+                y = TreeState(psi_s.layout, entries=dict(psi_s.entries))
                 for s in (x, y):
                     amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
                     amps /= np.linalg.norm(amps)

@@ -230,3 +230,21 @@ def test_state_dump_is_not_an_output_format():
         with pytest.raises(SystemExit) as exc:
             main(["search", str(fixture_path("binary7")), "--depth", "2", *rest])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["prepare", "binary7", "--depth", "2", "--samples", "-1"], "--samples"),
+        (["search", "binary7", "--depth", "2", "--iterations", "3"], "--iterations"),
+        (["iddfs", "binary7", "--depth", "2", "--iterations", "3"], "--iterations"),
+        (["prune", "prune2", "--depth", "2", "--iterations", "3"], "--iterations"),
+        (["greedy", "grid4", "--depth", "0", "--budget", "-1"], "budget"),
+    ],
+)
+def test_flag_that_cannot_be_honoured_exits_two(argv, message, capsys):
+    command, stem, *rest = argv
+    status, text = invoke([command, str(fixture_path(stem)), *rest])
+    assert status == 2
+    assert text == ""
+    assert message in capsys.readouterr().err

@@ -67,19 +67,20 @@ def test_negative_heuristic_rejected():
 
 
 def test_transition_on_inadmissible_pair_rejected():
-    # constructed directly: admissible says nothing at x, transition disagrees
-    spec = ProblemSpec(
-        name="bad",
-        states=("x", "y"),
-        actions=("a",),
-        admissible=((), ()),
-        transition={(0, 0): 1},
-        root=0,
-        goals=frozenset(),
-    )
-    with pytest.raises(ValidationError) as exc:
-        spec.validate()
-    assert "non-admissible" in str(exc.value)
+    # constructed directly: action index 1 lies outside the one-action alphabet
+    # and state index 2 outside the two states, so neither pair is admissible
+    for pair, message in (((0, 1), "outside alphabet"), ((2, 0), "outside state range")):
+        spec = ProblemSpec(
+            name="bad",
+            states=("x", "y"),
+            actions=("a",),
+            transition={pair: 1},
+            root=0,
+            goals=frozenset(),
+        )
+        with pytest.raises(ValidationError) as exc:
+            spec.validate()
+        assert message in str(exc.value)
 
 
 def test_write_problem_round_trip(tmp_path):
@@ -262,15 +263,11 @@ def random_problems(draw):
         for a in range(n_actions):
             if draw(st.booleans()):
                 transition[(s, a)] = draw(st.integers(0, n_states - 1))
-    per_state = [[] for _ in range(n_states)]
-    for (s, a) in transition:
-        per_state[s].append(a)
     goals = draw(st.sets(st.integers(0, n_states - 1), max_size=n_states))
     return ProblemSpec(
         name="random",
         states=tuple(f"s{i}" for i in range(n_states)),
         actions=tuple(f"a{j}" for j in range(n_actions)),
-        admissible=tuple(tuple(sorted(acts)) for acts in per_state),
         transition=transition,
         root=draw(st.integers(0, n_states - 1)),
         goals=frozenset(goals),

@@ -16,8 +16,8 @@ from qtreesearch import (
     inner_product,
     measure_paths,
     prepare_tree_state,
-    state_dump_lines,
 )
+from qtreesearch.cli_reporting import state_dump_lines
 from qtreesearch.statevector import dense_entries
 from conftest import load_fixture
 
@@ -47,7 +47,7 @@ def test_init_ground_structured():
     lay = RegisterLayout.from_sizes(1, 2, 1)
     state = init_ground(lay, 0)
     assert state.norm_sq() == 1.0
-    assert state.amplitude(()) == 1.0
+    assert state.entries[()].amp == 1.0
     samples = measure_paths(state, 5, seed=3)
     assert samples == [((), 0)] * 5
 
