@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import MissingHeuristicError, ProblemSpec, enumerate_paths
-from .statevector import Entry, LayoutMismatchError, TreeState
+from .statevector import LayoutMismatchError, TreeState
 from .tree_prep import PreparationPlan
 
 GOAL = "goal"
@@ -56,23 +56,21 @@ class MarkPredicate:
     def threshold_at(cls, depth: int, threshold: float) -> "MarkPredicate":
         return cls(kind=HEURISTIC_THRESHOLD, depth_context=depth, threshold=threshold)
 
-    def marks(self, problem: ProblemSpec, path: tuple[int, ...], node: int, dead: bool) -> bool:
-        if dead or len(path) != self.depth_context:
-            return False
+    def holds_at(self, problem: ProblemSpec, node: int) -> bool:
+        """The test on the node value alone: a goal, or h at most the threshold."""
         if self.kind == GOAL:
             return node in problem.goals
         return problem.h(node) <= self.threshold
+
+    def marks(self, problem: ProblemSpec, path: tuple[int, ...], node: int, dead: bool) -> bool:
+        return not dead and len(path) == self.depth_context and self.holds_at(problem, node)
 
     def holds_classically(self, problem: ProblemSpec, path: tuple[int, ...]) -> bool:
         """Re-run the transitions and evaluate the predicate from scratch."""
         if len(path) != self.depth_context:
             return False
         terminal = problem.follow(tuple(path))
-        if terminal is None:
-            return False
-        if self.kind == GOAL:
-            return terminal in problem.goals
-        return problem.h(terminal) <= self.threshold
+        return terminal is not None and self.holds_at(problem, terminal)
 
 
 @dataclass(frozen=True)
@@ -164,26 +162,24 @@ def predicted_mass(a: float, k: int) -> float:
 
 
 class _RunArrays:
-    """Aligned-array view of a state for fast iterate application.
+    """The amplitudes of a structured state under the iterate.
 
     The iterate (oracle then reflection about the starting state) never
-    changes the support, so amplitudes can live in one complex vector.
+    changes the support, so only the amplitude vector is replaced; the
+    starting state's path, node and dead arrays are shared.
     """
 
     def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
-        self.layout = state.layout
-        items = state.sorted_entries()
-        self.keys = [p for p, _ in items]
-        self.nodes = [e.node for _, e in items]
-        self.dead = [e.dead for _, e in items]
-        self.axis = np.array([e.amp for _, e in items], dtype=np.complex128)
-        self.marked = np.array(
-            [i for i, (p, e) in enumerate(items) if predicate.marks(problem, p, e.node, e.dead)],
-            dtype=np.intp,
-        )
-        self.n_paths = sum(
-            1 for p, e in items if not e.dead and len(p) == predicate.depth_context
-        )
+        self.state = state
+        self.axis = state.amp
+        lengths = np.count_nonzero(state.actions >= 0, axis=1)
+        rows = np.flatnonzero(~state.dead & (lengths == predicate.depth_context))
+        nodes = state.node[rows]
+        holds = np.zeros(problem.n_states, dtype=bool)  # the predicate on each node present
+        for s in np.flatnonzero(np.bincount(nodes, minlength=problem.n_states)).tolist():
+            holds[s] = predicate.holds_at(problem, s)
+        self.marked = rows[holds[nodes]]
+        self.n_paths = int(rows.size)
         self.m_marked = int(self.marked.size)
         self.amps = self.axis.copy()
 
@@ -198,23 +194,22 @@ class _RunArrays:
 
     def iterate(self, k: int) -> None:
         """Apply k iterates: oracle, then reflection about the starting state."""
+        amps, axis, marked = self.amps, self.axis, self.marked
+        buffer = np.empty_like(amps)
         for _ in range(k):
-            self.amps[self.marked] = -self.amps[self.marked]
-            alpha = np.vdot(self.axis, self.amps)
-            self.amps = 2 * alpha * self.axis - self.amps
+            amps[marked] = -amps[marked]
+            np.multiply(2 * np.vdot(axis, amps), axis, out=buffer)
+            np.subtract(buffer, amps, out=amps)
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
         probs = np.abs(self.amps) ** 2
         probs /= probs.sum()
         i = int(rng.choice(len(probs), p=probs))
-        return self.keys[i], self.nodes[i]
+        return self.state.path(i), int(self.state.node[i])
 
     def to_state(self) -> TreeState:
-        entries = {
-            p: Entry(complex(self.amps[i]), self.nodes[i], self.dead[i])
-            for i, p in enumerate(self.keys)
-        }
-        return TreeState(self.layout, "structured", entries=entries)
+        s = self.state
+        return TreeState.from_arrays(s.layout, s.actions, s.node, self.amps, s.dead)
 
 
 def amplify(

@@ -11,6 +11,7 @@ Every line the program prints is built here: each is a prefix (``[search] ``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .amplitude_engine import AmplificationSchedule, MarkPredicate, RunReport
@@ -121,20 +122,23 @@ def state_dump_lines(state: TreeState, problem: ProblemSpec | None = None) -> li
 
 
 def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
-    if args.samples < 0:
+    if args.state_dump and args.samples is not None:
+        raise ValueError("--samples cannot be combined with --state-dump")
+    samples = 1 if args.samples is None else args.samples
+    if samples < 0:
         raise ValueError("--samples must be >= 0")
     plan = PreparationPlan.for_problem(problem, args.depth)
     state = prepare_tree_state(plan)
+    records = args.output_format == "records"
     if args.state_dump:
         for line in state_dump_lines(state):
-            print(line, file=out)
+            print(("command=prepare " if records else "") + line, file=out)
         return EXIT_OK
-    n_live = sum(1 for _, e in state.sorted_entries() if not e.dead)
-    records = args.output_format == "records"
-    head = _record(depth=args.depth, live_paths=n_live, dead_prefixes=len(state.entries) - n_live,
+    n_dead = int(state.dead.sum())
+    head = _record(depth=args.depth, live_paths=len(state.dead) - n_dead, dead_prefixes=n_dead,
                    norm=state.norm_sq(), total_width=plan.layout.total_width)
     print(("command=prepare " if records else "[prepare] ") + head, file=out)
-    for path, node in measure_paths(state, args.samples, args.seed):
+    for path, node in measure_paths(state, samples, args.seed):
         sample = _record(path=_path_str(path), node=problem.states[node])
         print(("command=prepare " if records else "  sample ") + sample, file=out)
     return EXIT_OK
@@ -245,7 +249,9 @@ def _parse_stage(text: str) -> tuple[int, int, float]:
         raise argparse.ArgumentTypeError(f"bad stage {text!r}: {exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtreesearch",
         description="Simulate quantum tree search over explicit problems.",
@@ -264,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="build the superposition tree and inspect it")
     common(p)
     p.add_argument("--state-dump", action="store_true", help="print one record per amplitude")
-    p.add_argument("--samples", type=int, default=1, help="diagnostic measurements to draw")
+    p.add_argument(
+        "--samples", type=int, default=None, help="diagnostic measurements to draw (default 1)"
+    )
 
     for name, help_text in (
         ("search", "fixed-depth goal search"),

@@ -9,9 +9,13 @@ enumeration defined here.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 
 class ProblemFormatError(ValueError):
@@ -32,6 +36,31 @@ class MissingHeuristicError(ValueError):
 
 class UndefinedStatsError(ValueError):
     """Branching statistics are undefined (the expansion generated no nodes)."""
+
+
+class ProblemArrays(NamedTuple):
+    """Array form of the admissible actions and transitions, for the vectorised tree.
+
+    The children of a prefix are listed state by state (compressed rows):
+    state ``s`` owns ``counts[s]`` entries of ``child_action`` and
+    ``child_node`` from ``start[s]`` on. A state with no admissible action owns
+    one entry, the prefix kept as it is (action -1, node ``n_states``). Row
+    ``n_states`` stands for a prefix that is already dead and is kept too.
+    """
+
+    # (n_states, n_actions + 1) successor of each pair, -1 where not admissible;
+    # the extra column is for the action -1 that pads short paths
+    table: np.ndarray
+    # (n_states + 1,) children of a prefix at each state
+    counts: np.ndarray
+    # (n_states + 1,) offset of each state's children in the two lists below
+    start: np.ndarray
+    # the action of each child, in action order within a state; -1 when kept
+    child_action: np.ndarray
+    # the node each child moves to; n_states when kept
+    child_node: np.ndarray
+    # (n_states + 1,) amplitude factor of each child, 1/sqrt(#admissible); 1 when kept
+    scale: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,6 +96,36 @@ class ProblemSpec:
         for s, a in sorted(self.transition):
             per_state[s].append(a)
         return tuple(tuple(acts) for acts in per_state)
+
+    @cached_property
+    def arrays(self) -> ProblemArrays:
+        """``transition`` and ``admissible`` as arrays, built once per problem."""
+        n, m = self.n_states, self.n_actions
+        table = [[-1] * (m + 1) for _ in range(n)]
+        for (s, a), t in self.transition.items():
+            table[s][a] = t
+        # (action, node) of each child; a prefix with nowhere to go is kept, and so is a dead one
+        children = [
+            [(a, row[a]) for a in acts] or [(-1, n)] for acts, row in zip(self.admissible, table)
+        ]
+        children.append([(-1, n)])
+        counts = np.array([len(kids) for kids in children])
+        action, node = zip(*(kid for kids in children for kid in kids))
+        return ProblemArrays(
+            table=np.array(table, dtype=np.int32),
+            counts=counts,
+            start=np.cumsum(counts) - counts,
+            child_action=np.array(action, dtype=np.int32),
+            child_node=np.array(node, dtype=np.int32),
+            scale=np.array([1 / math.sqrt(len(a)) if a else 1.0 for a in self.admissible] + [1.0]),
+        )
+
+    def with_root(self, root: int) -> "ProblemSpec":
+        """The same problem started at ``root``. It shares ``admissible`` and
+        ``arrays``, which do not depend on the root, so they are built once."""
+        spec = replace(self, root=root)
+        spec.__dict__.update(admissible=self.admissible, arrays=self.arrays)
+        return spec
 
     def successors(self, state: int) -> tuple[tuple[int, int], ...]:
         """(action, next state) pairs in action-index order."""
@@ -403,6 +462,8 @@ def _greedy(problem: ProblemSpec, limits: SearchLimits):
 def branching_stats(problem: ProblemSpec, depth: int) -> BranchingStats:
     """Maximum / average / effective branching factor of the depth-``depth`` expansion.
 
+    Every node above depth ``depth`` counts as an internal node, dead ends
+    included, and ``b_avg`` is the nodes generated per internal node.
     ``b_eff`` is the uniform branching factor whose tree generates the same
     number of nodes: sum_{i=0..depth} b_eff**i = N + 1 with N the nodes
     generated (root excluded), solved by bisection to 1e-9 residual.

@@ -243,7 +243,7 @@ def greedy_quantum_loop(
                 )
             return None, reports
         tau = min(problem.h(child) for _, child in children)
-        sub_problem = replace(problem, root=current)
+        sub_problem = problem.with_root(current)
         sub_plan = PreparationPlan.for_problem(sub_problem, 1)
         sched = AmplificationSchedule(
             policy=POLICY_EXPONENTIAL,

@@ -2,9 +2,10 @@
 
 Two representations are kept deliberately:
 
-* structured -- one amplitude per admissible path prefix. The node value and
-  a dead flag are stored alongside each prefix; configurations that are not
-  admissible prefixes implicitly hold amplitude zero.
+* structured -- one amplitude per admissible path prefix, in aligned arrays
+  kept in path order. The node value and a dead flag are stored alongside
+  each prefix; configurations that are not admissible prefixes implicitly
+  hold amplitude zero.
 * dense -- the full 2**total_width complex vector, the test reference: it
   checks that the structured bookkeeping is faithful rather than assuming it,
   and inner products, the oracle and the reflection are defined on it alone.
@@ -16,8 +17,10 @@ sequence is reproducible from the integer seed that reports record.
 """
 from __future__ import annotations
 
+import bisect
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,31 +88,71 @@ class RegisterLayout:
 
 
 class TreeState:
-    """Mutable-by-replacement state container; operators return fresh states."""
+    """Mutable-by-replacement state container; operators return fresh states.
 
-    __slots__ = ("layout", "mode", "entries", "vector")
+    A structured state holds one row per admissible path prefix in aligned
+    arrays: ``actions`` (the prefix, padded with -1 to the layout depth),
+    ``node``, ``amp`` and ``dead``. Rows stay in path order, a prefix before
+    its extensions, so no operator sorts. States share these arrays and never
+    write them after construction.
+    """
+
+    __slots__ = ("layout", "mode", "actions", "node", "amp", "dead", "vector")
 
     def __init__(
         self,
         layout: RegisterLayout,
         mode: str = "structured",
-        entries: dict[tuple[int, ...], Entry] | None = None,
+        entries: Mapping[tuple[int, ...], Entry] | None = None,
         vector: np.ndarray | None = None,
     ):
         if mode not in ("structured", "dense"):
             raise ValueError(f"unknown mode {mode!r}")
+        items = sorted(entries.items()) if entries else []
+        # the smallest signed type that holds every action value and the -1 pad
+        dtype = np.min_scalar_type(-(1 << layout.action_width))
+        actions = np.full((len(items), layout.depth), -1, dtype=dtype)
+        for row, (path, _) in zip(actions, items):
+            row[: len(path)] = path
         self.layout = layout
         self.mode = mode
-        self.entries = entries if entries is not None else {}
+        self.actions = actions
+        self.node = np.array([e.node for _, e in items], dtype=np.int32)
+        self.amp = np.array([e.amp for _, e in items], dtype=np.complex128)
+        self.dead = np.array([e.dead for _, e in items], dtype=bool)
         self.vector = vector
 
+    @classmethod
+    def from_arrays(
+        cls,
+        layout: RegisterLayout,
+        actions: np.ndarray,
+        node: np.ndarray,
+        amp: np.ndarray,
+        dead: np.ndarray,
+    ) -> "TreeState":
+        """A structured state over rows that are already in path order."""
+        state = cls.__new__(cls)
+        state.layout, state.mode, state.vector = layout, "structured", None
+        state.actions, state.node, state.amp, state.dead = actions, node, amp, dead
+        return state
+
+    @property
+    def entries(self) -> "_Entries":
+        """Read-only path -> ``Entry`` view of the rows, in path order."""
+        return _Entries(self)
+
+    def path(self, row: int) -> tuple[int, ...]:
+        return tuple(a for a in self.actions[row].tolist() if a >= 0)
+
     def norm_sq(self) -> float:
-        if self.mode == "dense":
-            return float(np.vdot(self.vector, self.vector).real)
-        return sum(abs(e.amp) ** 2 for e in self.entries.values())
+        v = self.vector if self.mode == "dense" else self.amp
+        return float(np.vdot(v, v).real)
 
     def sorted_entries(self) -> list[tuple[tuple[int, ...], Entry]]:
-        return sorted(self.entries.items())
+        """Every row as a (path prefix, ``Entry``) pair, in path order."""
+        rows = zip(self.actions.tolist(), self.amp.tolist(), self.node.tolist(), self.dead.tolist())
+        return [(tuple(a for a in acts if a >= 0), Entry(*rest)) for acts, *rest in rows]
 
     def to_dense(self) -> "TreeState":
         """Materialize the full joint-register vector (structured metadata suffices)."""
@@ -119,10 +162,34 @@ class TreeState:
             raise ValueError(
                 f"refusing dense vector of 2**{self.layout.total_width} amplitudes"
             )
+        index = self.node.astype(np.int64)
+        for column in self.actions.T:  # a short prefix keeps the ground value 0
+            index = (index << self.layout.action_width) | np.maximum(column, 0)
         vec = np.zeros(1 << self.layout.total_width, dtype=np.complex128)
-        for path, entry in self.entries.items():
-            vec[self.layout.index_of(entry.node, path)] = entry.amp
+        vec[index] = self.amp
         return TreeState(self.layout, "dense", vector=vec)
+
+
+class _Entries(Mapping):
+    """Path -> ``Entry`` over a structured state's rows; a lookup bisects the path order."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: TreeState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.amp)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return (path for path, _ in self._state.sorted_entries())
+
+    def __getitem__(self, path: tuple[int, ...]) -> Entry:
+        state = self._state
+        row = bisect.bisect_left(range(len(self)), path, key=state.path)
+        if row == len(self) or state.path(row) != path:
+            raise KeyError(path)
+        return Entry(complex(state.amp[row]), int(state.node[row]), bool(state.dead[row]))
 
 
 def init_ground(layout: RegisterLayout, root: int, mode: str = "structured") -> TreeState:
@@ -170,14 +237,15 @@ def _measure_with_rng(
     rng: np.random.Generator,
     problem: ProblemSpec | None = None,
 ) -> list[tuple[tuple[int, ...], int]]:
-    items = dense_entries(state, problem)
-    probs = np.array([abs(e.amp) ** 2 for _, e in items], dtype=float)
+    if state.mode == "dense":
+        state = TreeState(state.layout, entries=dict(dense_entries(state, problem)))
+    probs = np.abs(state.amp) ** 2
     total = probs.sum()
     if total <= 0.0:
         raise ZeroNormError("cannot sample from a zero-norm state")
     probs /= total
-    picks = rng.choice(len(items), size=samples, p=probs)
-    return [(items[i][0], items[i][1].node) for i in picks]
+    picks = rng.choice(len(probs), size=samples, p=probs)
+    return [(state.path(i), int(state.node[i])) for i in picks]
 
 
 def measure_paths(

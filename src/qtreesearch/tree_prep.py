@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import ProblemSpec
-from .statevector import Entry, RegisterLayout, TreeState, init_ground
+from .statevector import RegisterLayout, TreeState, init_ground
+
+PREFIX_CAP = 1 << 24  # rows of a structured state; beyond that preparation is refused
 
 
 class OperatorMisuseError(RuntimeError):
@@ -34,10 +36,34 @@ class PreparationPlan:
 
     @classmethod
     def for_problem(cls, problem: ProblemSpec, depth: int) -> "PreparationPlan":
+        """The plan of the depth-``depth`` tree; refused, before anything is
+        allocated, when the tree has more than ``PREFIX_CAP`` prefixes."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
+        if count_prefixes(problem, depth) > PREFIX_CAP:
+            raise ValueError(
+                f"the depth-{depth} tree of {problem.name!r} has more than 2**24 path prefixes"
+            )
         layout = RegisterLayout.from_sizes(problem.n_states, problem.n_actions, depth)
         return cls(problem=problem, depth=depth, layout=layout)
+
+
+def count_prefixes(problem: ProblemSpec, depth: int) -> int:
+    """Rows of the prepared depth-``depth`` state (live paths plus frozen dead
+    ends), from per-state prefix counts level by level in O(depth * |E|).
+
+    Counting stops at the first level where the count passes ``PREFIX_CAP``,
+    so a count above the cap is a lower bound.
+    """
+    arrays = problem.arrays
+    parent = np.repeat(np.arange(problem.n_states + 1), arrays.counts)
+    rows = np.zeros(problem.n_states + 1)  # prefixes per node; the last slot counts dead ones
+    rows[problem.root] = 1.0
+    for _ in range(depth):
+        rows = np.bincount(arrays.child_node, weights=rows[parent], minlength=len(rows))
+        if rows.sum() > PREFIX_CAP:
+            break
+    return int(rows.sum())
 
 
 def action_images(
@@ -83,8 +109,31 @@ def transition_images(
     return index + ((target - node) << (layout.depth * layout.action_width))
 
 
+def _check_rows(state: TreeState, problem: ProblemSpec, length: int, doing: str) -> None:
+    """Every node must be a state of ``problem``, and every live row must hold
+    exactly ``length`` actions."""
+    off = (state.node < 0) | (state.node >= problem.n_states)
+    if off.any():
+        raise CorruptedStateError(
+            f"node {state.node[np.argmax(off)]} outside the state range when {doing}"
+        )
+    acts = state.actions
+    wrong = acts[:, length] >= 0 if length < acts.shape[1] else np.zeros(len(acts), bool)
+    if length:
+        wrong |= acts[:, length - 1] < 0
+    bad = np.flatnonzero(wrong & ~state.dead)
+    if bad.size:
+        n = int(np.count_nonzero(acts[bad[0]] >= 0))
+        raise OperatorMisuseError(f"live prefix of length {n} present when {doing}")
+
+
 def apply_action_superposition(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
-    """Extend every live prefix by the uniform superposition over its admissible actions."""
+    """Extend every live prefix by the uniform superposition over its admissible actions.
+
+    Each live row is replaced in place by one child per admissible action, in
+    action order, so the rows stay in path order. A live row whose node has no
+    admissible action is kept and frozen (dead); dead rows are kept as they are.
+    """
     layout = state.layout
     if not 0 <= level < layout.depth:
         raise ValueError(f"level {level} outside layout depth {layout.depth}")
@@ -95,24 +144,8 @@ def apply_action_superposition(state: TreeState, problem: ProblemSpec, level: in
             for target, coef in action_images(problem, layout, level, int(idx)):
                 new[target] += coef * amp
         return TreeState(layout, "dense", vector=new)
-
-    entries: dict[tuple[int, ...], Entry] = {}
-    for path, entry in state.entries.items():
-        if entry.dead:
-            entries[path] = entry
-            continue
-        if len(path) != level:
-            raise OperatorMisuseError(
-                f"live prefix of length {len(path)} present when applying level {level}"
-            )
-        acts = problem.admissible[entry.node]
-        if not acts:
-            entries[path] = Entry(entry.amp, entry.node, True)
-            continue
-        coef = 1.0 / math.sqrt(len(acts))
-        for a in acts:
-            entries[path + (a,)] = Entry(entry.amp * coef, entry.node, False)
-    return TreeState(layout, "structured", entries=entries)
+    _check_rows(state, problem, level, f"applying level {level}")
+    return _extend(state, problem, level)
 
 
 def apply_transition(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
@@ -125,30 +158,53 @@ def apply_transition(state: TreeState, problem: ProblemSpec, level: int) -> Tree
         for idx in np.nonzero(state.vector)[0]:
             new[transition_images(problem, layout, level, int(idx))] += state.vector[idx]
         return TreeState(layout, "dense", vector=new)
+    _check_rows(state, problem, level + 1, f"transitioning level {level}")
+    moved = _move(state, problem, level)
+    if (moved.node < 0).any():  # a live row holds an action with no transition
+        i = int(np.argmax(moved.node < 0))
+        raise CorruptedStateError(
+            f"no transition for (state {state.node[i]}, action {state.actions[i, level]})"
+            f" at level {level}"
+        )
+    return moved
 
-    entries: dict[tuple[int, ...], Entry] = {}
-    for path, entry in state.entries.items():
-        if entry.dead:
-            entries[path] = entry
-            continue
-        if len(path) != level + 1:
-            raise OperatorMisuseError(
-                f"live prefix of length {len(path)} present when transitioning level {level}"
-            )
-        a = path[level]
-        target = problem.transition.get((entry.node, a))
-        if target is None:
-            raise CorruptedStateError(
-                f"no transition for (state {entry.node}, action {a}) at level {level}"
-            )
-        entries[path] = Entry(entry.amp, target, False)
-    return TreeState(layout, "structured", entries=entries)
+
+def _extend(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
+    """The structured action step on rows already checked; a level's memory
+    grows with its children, not with the alphabet."""
+    arrays = problem.arrays
+    source = np.where(state.dead, problem.n_states, state.node)  # dead rows read the extra row
+    counts = arrays.counts[source]
+    ends = np.cumsum(counts)
+    # child j of row r is entry start[source[r]] + j - (ends[r] - counts[r]) of the child lists
+    offset = np.repeat(arrays.start[source] + counts - ends, counts)
+    slot = offset + np.arange(len(offset))
+    actions = np.repeat(state.actions, counts, axis=0)
+    actions[:, level] = arrays.child_action[slot]  # a kept row writes the pad value -1
+    node = np.repeat(state.node, counts)
+    amp = np.repeat(state.amp * arrays.scale[source], counts)
+    return TreeState.from_arrays(state.layout, actions, node, amp, actions[:, level] < 0)
+
+
+def _move(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
+    """The structured transition step on rows already checked; a live row
+    whose action has no transition gets node -1."""
+    successor = problem.arrays.table[state.node, state.actions[:, level]]
+    node = np.where(state.dead, state.node, successor)
+    return TreeState.from_arrays(state.layout, state.actions, node, state.amp, state.dead)
 
 
 def prepare_tree_state(plan: PreparationPlan, mode: str = "structured") -> TreeState:
     """Ground state followed by d rounds of (action superposition; transition)."""
-    state = init_ground(plan.layout, plan.problem.root, mode)
+    problem = plan.problem
+    state = init_ground(plan.layout, problem.root, mode)
+    if mode == "dense":
+        for level in range(plan.depth):
+            state = apply_action_superposition(state, problem, level)
+            state = apply_transition(state, problem, level)
+        return state
+    # every row built here holds a state of the problem and the right number
+    # of admissible actions, so the operators' checks on outside input are skipped
     for level in range(plan.depth):
-        state = apply_action_superposition(state, plan.problem, level)
-        state = apply_transition(state, plan.problem, level)
+        state = _move(_extend(state, problem, level), problem, level)
     return state

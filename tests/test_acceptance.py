@@ -187,14 +187,15 @@ def test_criterion_6_unitarity_proxy():
             # reflection: check <Rx|Ry> = <x|y> on random states over the support
             psi_s = prepare_tree_state(plan)
             keys = sorted(psi_s.entries)
+
+            def random_state():
+                amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+                amps /= np.linalg.norm(amps)
+                entries = {p: psi_s.entries[p]._replace(amp=complex(a)) for p, a in zip(keys, amps)}
+                return TreeState(psi_s.layout, entries=entries)
+
             for _ in range(3):
-                x = TreeState(psi_s.layout, entries=dict(psi_s.entries))
-                y = TreeState(psi_s.layout, entries=dict(psi_s.entries))
-                for s in (x, y):
-                    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
-                    amps /= np.linalg.norm(amps)
-                    for p, amp in zip(keys, amps):
-                        s.entries[p] = s.entries[p]._replace(amp=complex(amp))
+                x, y = random_state(), random_state()
                 rx, ry = reflect_about(x, psi_s), reflect_about(y, psi_s)
                 assert abs(inner_product(rx, ry) - inner_product(x, y)) <= 1e-12
 

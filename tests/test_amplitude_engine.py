@@ -113,10 +113,10 @@ def test_reflection_negates_orthogonal_states(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     psi = prepare_tree_state(plan)
     # orthogonal combination on the same support: (|00> - |01>)/sqrt(2)
-    x = TreeState(psi.layout, entries=dict(psi.entries))
-    for p in list(x.entries):
-        amp = {(0, 0): 1 / math.sqrt(2), (0, 1): -1 / math.sqrt(2)}.get(p, 0j)
-        x.entries[p] = x.entries[p]._replace(amp=amp)
+    amps = {(0, 0): 1 / math.sqrt(2), (0, 1): -1 / math.sqrt(2)}
+    x = TreeState(
+        psi.layout, entries={p: e._replace(amp=amps.get(p, 0j)) for p, e in psi.entries.items()}
+    )
     assert abs(inner_product(psi, x)) <= 1e-15
     reflected = reflect_about(x, psi)
     for p, e in x.entries.items():
@@ -141,12 +141,12 @@ def test_reflection_preserves_inner_products(binary7):
     keys = sorted(psi.entries)
 
     def random_state():
-        s = TreeState(psi.layout, entries=dict(psi.entries))
         amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
         amps /= np.linalg.norm(amps)
-        for p, a in zip(keys, amps):
-            s.entries[p] = s.entries[p]._replace(amp=complex(a))
-        return s
+        return TreeState(
+            psi.layout,
+            entries={p: psi.entries[p]._replace(amp=complex(a)) for p, a in zip(keys, amps)},
+        )
 
     for _ in range(5):
         x, y = random_state(), random_state()

@@ -1,6 +1,8 @@
 import pytest
 
+from qtreesearch import write_problem
 from qtreesearch.cli_reporting import build_parser, main
+from qtreesearch.generators import needle_problem
 from conftest import cli_invoke as invoke, fixture_path
 
 
@@ -240,6 +242,7 @@ def test_state_dump_is_not_an_output_format():
         (["iddfs", "binary7", "--depth", "2", "--iterations", "3"], "--iterations"),
         (["prune", "prune2", "--depth", "2", "--iterations", "3"], "--iterations"),
         (["greedy", "grid4", "--depth", "0", "--budget", "-1"], "budget"),
+        (["prepare", "binary7", "--depth", "2", "--state-dump", "--samples", "1"], "--samples"),
     ],
 )
 def test_flag_that_cannot_be_honoured_exits_two(argv, message, capsys):
@@ -248,3 +251,13 @@ def test_flag_that_cannot_be_honoured_exits_two(argv, message, capsys):
     assert status == 2
     assert text == ""
     assert message in capsys.readouterr().err
+
+
+def test_tree_above_the_prefix_cap_exits_two(tmp_path, capsys):
+    # needle b=2 d=25 has 2**25 paths; the guard refuses it before preparing
+    path = tmp_path / "needle.problem"
+    write_problem(needle_problem(25, 2), path)
+    status, text = invoke(["search", str(path), "--depth", "25"])
+    assert status == 2
+    assert text == ""
+    assert "2**24" in capsys.readouterr().err

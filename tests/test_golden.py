@@ -25,6 +25,9 @@ CASES = {
     "prepare-samples": ("prepare", "deadend", "--depth 2 --samples 3 --seed 4", 0),
     "prepare-state-dump": ("prepare", "binary7", "--depth 2 --state-dump", 0),
     "prepare-state-dump-deadend": ("prepare", "deadend", "--depth 3 --state-dump", 0),
+    "prepare-state-dump-records": (
+        "prepare", "binary7", "--depth 2 --state-dump --seed 3 --format records", 0,
+    ),
     "search-table": ("search", "binary7", "--depth 2 --seed 7", 0),
     "search-records": ("search", "binary7", "--depth 2 --seed 7 --format records", 0),
     "search-exponential-table": (

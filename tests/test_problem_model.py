@@ -240,6 +240,23 @@ def test_chain_effective_factor_is_one():
     assert stats.b_max == 1
 
 
+def test_with_root_shares_the_root_independent_arrays():
+    p = load_fixture("grid4")
+    moved = p.with_root(3)
+    assert moved.root == 3 and p.root != 3
+    assert moved.arrays is p.arrays and moved.admissible is p.admissible
+    assert moved.successors(3) == p.successors(3)
+
+
+def test_dead_ends_above_depth_count_as_internal_nodes():
+    # deadend at d=3: r, live, trap, leafA, leafB are all internal (the last
+    # three are dead ends above depth 3) and generate 2 + 2 + 0 + 0 + 0 nodes
+    stats = branching_stats(load_fixture("deadend"), 3)
+    assert (stats.internal_nodes, stats.nodes_generated) == (5, 4)
+    assert stats.b_avg == 0.8
+    assert stats.b_max == 2
+
+
 def test_stats_undefined_when_nothing_generated():
     p = load_fixture("tiny")
     with pytest.raises(UndefinedStatsError):

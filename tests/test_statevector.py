@@ -18,7 +18,7 @@ from qtreesearch import (
     prepare_tree_state,
 )
 from qtreesearch.cli_reporting import state_dump_lines
-from qtreesearch.statevector import dense_entries
+from qtreesearch.statevector import TreeState, dense_entries
 from conftest import load_fixture
 
 
@@ -105,8 +105,8 @@ def test_measure_is_deterministic_per_seed(binary7):
 
 def test_measure_zero_norm_rejected():
     lay = RegisterLayout.from_sizes(2, 2, 1)
-    state = init_ground(lay, 0)
-    state.entries[()] = state.entries[()]._replace(amp=0j)
+    ground = init_ground(lay, 0)
+    state = TreeState(lay, entries={(): ground.entries[()]._replace(amp=0j)})
     with pytest.raises(ZeroNormError):
         measure_paths(state, 1, seed=0)
 

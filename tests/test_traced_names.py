@@ -52,5 +52,7 @@ def test_trace_hooks_run_on_every_layer(capsys):
     assert path is not None
     _, seen = tracer.self_times()
     assert {metric.split(".")[0] for metric in seen} == LAYERS
-    assert tracer.counts["tree_prep.prefixes"] > 0
+    # len(state.entries) is the prefix count; these totals repeat exactly
+    assert tracer.counts["tree_prep.prefixes"] == 92
+    assert tracer.counts["amplitude_engine.amp_updates"] == 2248
     assert tracer.counts["amplitude_engine.calls"] > 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from qtreesearch import (
     path_amplitude,
     prepare_tree_state,
 )
-from qtreesearch.tree_prep import action_images, transition_images
+from qtreesearch.generators import needle_problem
+from qtreesearch.statevector import TreeState
+from qtreesearch.tree_prep import action_images, count_prefixes, transition_images
 from conftest import DEFAULT_DEPTHS, load_fixture
 
 
@@ -143,13 +146,18 @@ def test_corrupted_state_detected(binary7):
     state = apply_action_superposition(state, binary7, 0)
     # sabotage: pretend the node under prefix (0,) is a leaf with no actions
     bad = state.entries[(0,)]._replace(node=5)
-    state.entries[(0,)] = bad
+    state = TreeState(plan.layout, entries={**state.entries, (0,): bad})
     with pytest.raises(CorruptedStateError):
         apply_transition(state, binary7, 0)
+    # a node outside the state range must not wrap around or index past the table
+    for node in (-1, binary7.n_states):
+        bad = state.entries[(0,)]._replace(node=node)
+        broken = TreeState(plan.layout, entries={**state.entries, (0,): bad})
+        with pytest.raises(CorruptedStateError, match="outside the state range"):
+            apply_transition(broken, binary7, 0)
 
 
-def test_non_injective_transition_flagged():
-    text = """
+FUNNEL = """
 problem funnel
 actions a
 state r
@@ -161,11 +169,8 @@ edge r a u
 edge u a w
 edge v a w
 """
-    # only u is reachable, and per action the live restriction stays injective
-    p = parse_problem(text)
-    assert unitarity_defect(p, 2) <= 1e-12
 
-    text2 = """
+COLLIDE = """
 problem collide
 actions a b
 state r
@@ -178,11 +183,70 @@ edge r b v
 edge u a w
 edge v a w
 """
+
+ROOT_DEAD_END = """
+problem rootdead
+actions a
+state r
+state x
+root r
+edge x a r
+"""
+
+
+def test_non_injective_transition_flagged():
+    # only u is reachable, and per action the live restriction stays injective
+    p = parse_problem(FUNNEL)
+    assert unitarity_defect(p, 2) <= 1e-12
+
     # both u and v are live at level 1 and map to w under the same action, yet
     # the path registers tell them apart, so the joint operators stay isometries
     # and no non-unitarity flag is needed
-    p2 = parse_problem(text2)
+    p2 = parse_problem(COLLIDE)
     assert unitarity_defect(p2, 2) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "load,depth",
+    [
+        (lambda: load_fixture("binary7"), 0),  # depth 0: the ground state alone
+        (lambda: load_fixture("tiny"), 3),  # empty alphabet: one state, no action
+        (lambda: parse_problem(ROOT_DEAD_END), 2),  # the root has no admissible action
+        (lambda: parse_problem(FUNNEL), 2),  # non-injective, one live node
+        (lambda: parse_problem(COLLIDE), 3),  # non-injective, two live nodes collide
+    ],
+    ids=["depth0", "empty-alphabet", "root-dead-end", "funnel", "collide"],
+)
+def test_structured_equals_dense_reference_on_edge_cases(load, depth):
+    plan = PreparationPlan.for_problem(load(), depth)
+    structured = prepare_tree_state(plan)
+    assert np.array_equal(
+        structured.to_dense().vector, prepare_tree_state(plan, mode="dense").vector
+    )
+
+
+def test_prefix_cap_refuses_before_preparing():
+    # 2**25 paths: the per-state count refuses the plan before any row exists
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        prepare_tree_state(PreparationPlan.for_problem(needle_problem(25, 2), 25))
+
+
+def test_level_memory_grows_with_children_not_alphabet():
+    # 4,096 actions of which two are admissible per state: 1,024 depth-10 paths
+    lines = ["problem wide", "actions " + " ".join(f"a{i}" for i in range(4096))]
+    lines += [f"state s{i}" for i in range(11)] + ["root s0", "goal s10"]
+    lines += [f"edge s{i} {a} s{i + 1}" for i in range(10) for a in ("a0", "a4095")]
+    problem = parse_problem("\n".join(lines))
+    plan = PreparationPlan.for_problem(problem, 10)  # builds the per-problem arrays
+    tracemalloc.start()
+    try:
+        psi = prepare_tree_state(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(psi.entries) == 1024
+    # a per-row flag for every action would take 1,024 x 4,097 bytes at the last level
+    assert peak < 1 << 20
 
 
 # -- unitarity proxy (dense mode) -------------------------------------------
@@ -266,3 +330,16 @@ def test_random_preparation_matches_enumeration(problem, depth):
     for p, e in psi.entries.items():
         if not e.dead:
             assert abs(e.amp - path_amplitude(problem, p)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem=connected_problems(), depth=st.integers(0, 4))
+def test_random_preparation_matches_dense_reference(problem, depth):
+    plan = PreparationPlan.for_problem(problem, depth)
+    psi = prepare_tree_state(plan)
+    assert np.array_equal(psi.to_dense().vector, prepare_tree_state(plan, mode="dense").vector)
+    # the rows come out in strictly increasing path order without a sort
+    paths = [p for p, _ in psi.sorted_entries()]
+    assert all(a < b for a, b in zip(paths, paths[1:]))
+    # the size guard's per-state count predicts the rows
+    assert count_prefixes(problem, depth) == len(psi.entries)
