@@ -6,9 +6,9 @@ the marked mass after k iterations follows sin^2((2k+1) asin(sqrt(a)))
 exactly, whatever the amplitude profile. Non-constant branching only changes
 a, never the two-dimensional rotation.
 
-Cost is counted in phase-oracle applications, one per iterate. ``amplify``
-runs the iterate on the structured state; ``apply_oracle`` and
-``reflect_about`` are its dense reference, which tests compare against.
+Cost is counted in phase-oracle applications, one per iterate: an O(1) update
+of two coefficients in that plane. ``apply_oracle`` and ``reflect_about`` are
+the dense reference, which tests compare against.
 """
 from __future__ import annotations
 
@@ -162,18 +162,23 @@ def predicted_mass(a: float, k: int) -> float:
 
 
 class _RunArrays:
-    """The amplitudes of a structured state under the iterate.
+    """A structured state under the iterate, held as c_g psi_good + c_b psi_bad.
 
-    The iterate (oracle then reflection about the starting state) never
-    changes the support, so only the amplitude vector is replaced; the
-    starting state's path, node and dead arrays are shared.
+    psi_good and psi_bad are the starting state on the marked rows and on the
+    rest, with norms g2 and b2; the iterate keeps their plane, so it updates
+    only the coefficients. The amplitudes are rebuilt to sample or to return.
     """
 
     def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
         self.state = state
-        self.axis = state.amp
-        lengths = np.count_nonzero(state.actions >= 0, axis=1)
-        rows = np.flatnonzero(~state.dead & (lengths == predicate.depth_context))
+        self.axis = axis = state.amp
+        d, width = predicate.depth_context, state.actions.shape[1]
+        live = ~state.dead & (d <= width)  # d actions: column d-1 is set, column d is the pad
+        if 0 < d <= width:
+            live &= state.actions[:, d - 1] >= 0
+        if d < width:
+            live &= state.actions[:, d] < 0
+        rows = np.flatnonzero(live)
         nodes = state.node[rows]
         holds = np.zeros(problem.n_states, dtype=bool)  # the predicate on each node present
         for s in np.flatnonzero(np.bincount(nodes, minlength=problem.n_states)).tolist():
@@ -181,35 +186,41 @@ class _RunArrays:
         self.marked = rows[holds[nodes]]
         self.n_paths = int(rows.size)
         self.m_marked = int(self.marked.size)
-        self.amps = self.axis.copy()
+        unmarked = np.ones(axis.size, dtype=bool)
+        unmarked[self.marked] = False  # b2 is summed on its own rows, so it stays >= 0
+        self.g2, self.b2 = (float(np.vdot(v, v).real) for v in (axis[self.marked], axis[unmarked]))
+        self.reset()
 
     def reset(self) -> None:
-        self.amps = self.axis.copy()
+        self.c_g, self.c_b = 1.0, 1.0
 
     def marked_mass(self) -> float:
-        if self.m_marked == 0:
-            return 0.0
-        chunk = self.amps[self.marked]
-        return float(np.vdot(chunk, chunk).real)
+        return self.c_g * self.c_g * self.g2
 
     def iterate(self, k: int) -> None:
         """Apply k iterates: oracle, then reflection about the starting state."""
-        amps, axis, marked = self.amps, self.axis, self.marked
-        buffer = np.empty_like(amps)
+        c_g, c_b, g2, b2 = self.c_g, self.c_b, self.g2, self.b2
         for _ in range(k):
-            amps[marked] = -amps[marked]
-            np.multiply(2 * np.vdot(axis, amps), axis, out=buffer)
-            np.subtract(buffer, amps, out=amps)
+            s = -c_g * g2 + c_b * b2  # <psi| oracle |state>
+            c_g, c_b = 2 * s + c_g, 2 * s - c_b
+        self.c_g, self.c_b = c_g, c_b
+
+    def amps(self) -> np.ndarray:
+        if self.c_g == self.c_b == 1.0:  # no iterate since reset; states never write amp
+            return self.axis
+        amps = self.axis * self.c_b
+        amps[self.marked] = self.axis[self.marked] * self.c_g
+        return amps
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
-        probs = np.abs(self.amps) ** 2
+        probs = np.abs(self.amps()) ** 2
         probs /= probs.sum()
         i = int(rng.choice(len(probs), p=probs))
         return self.state.path(i), int(self.state.node[i])
 
     def to_state(self) -> TreeState:
         s = self.state
-        return TreeState.from_arrays(s.layout, s.actions, s.node, self.amps, s.dead)
+        return TreeState.from_arrays(s.layout, s.actions, s.node, self.amps(), s.dead)
 
 
 def amplify(
@@ -239,8 +250,8 @@ def amplify(
     run = _RunArrays(x0, plan.problem, predicate)
     queries = 0
     warnings: list[str] = []
-    a = run.marked_mass()
-    theta = math.asin(math.sqrt(min(a, 1.0)))
+    a = min(run.marked_mass(), 1.0)  # a summed mass can land an ulp above 1
+    theta = math.asin(math.sqrt(a))
 
     def report(samples, predicted: float) -> RunReport:
         return RunReport(
@@ -260,19 +271,16 @@ def amplify(
             samples=tuple(samples),
         )
 
-    if sched.policy == POLICY_FIXED_OPTIMAL:
-        if a == 0.0:
+    if sched.policy != POLICY_EXPONENTIAL:
+        if sched.policy == POLICY_EXPLICIT:
+            k = sched.iterations
+        elif a == 0.0:
             warnings.append("no_marked_configurations")
             return run.to_state(), report((), 0.0)
-        k = optimal_iterations(min(a, 1.0))
-        if k == 0:
-            warnings.append("single_measurement_sufficient")
-        run.iterate(k)
-        queries = k
-        return run.to_state(), report((), predicted_mass(a, k))
-
-    if sched.policy == POLICY_EXPLICIT:
-        k = sched.iterations
+        else:
+            k = optimal_iterations(a)
+            if k == 0:
+                warnings.append("single_measurement_sufficient")
         run.iterate(k)
         queries = k
         return run.to_state(), report((), predicted_mass(a, k))

@@ -350,18 +350,14 @@ def enumerate_paths(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     out: list[tuple[tuple[int, ...], int, bool]] = []
-    path: list[int] = []
-
-    def rec(state: int) -> None:
+    stack = [((), problem.root)]  # popped last in, so children are pushed in reverse
+    while stack:
+        path, state = stack.pop()
         if len(path) == depth:
-            out.append((tuple(path), state, state in problem.goals))
-            return
-        for a in problem.admissible[state]:
-            path.append(a)
-            rec(problem.transition[(state, a)])
-            path.pop()
-
-    rec(problem.root)
+            out.append((path, state, state in problem.goals))
+            continue
+        for a in reversed(problem.admissible[state]):
+            stack.append((path + (a,), problem.transition[(state, a)]))
     return out
 
 

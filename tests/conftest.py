@@ -2,8 +2,9 @@ import io
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from qtreesearch import load_problem
+from qtreesearch import ProblemSpec, load_problem
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -59,3 +60,28 @@ def nonconst5():
 @pytest.fixture
 def grid4():
     return load_fixture("grid4")
+
+
+@st.composite
+def connected_problems(draw):
+    """A random problem: 2-5 states, 1-3 actions, a partial transition table,
+    a goal set and a heuristic on every state."""
+    n_states = draw(st.integers(2, 5))
+    n_actions = draw(st.integers(1, 3))
+    transition = {}
+    for s in range(n_states):
+        for a in range(n_actions):
+            if draw(st.booleans()):
+                transition[(s, a)] = draw(st.integers(0, n_states - 1))
+    goals = draw(st.frozensets(st.integers(0, n_states - 1)))
+    levels = st.sampled_from([0.0, 1.0, 2.0])
+    heuristic = draw(st.lists(levels, min_size=n_states, max_size=n_states))
+    return ProblemSpec(
+        name="rnd",
+        states=tuple(f"s{i}" for i in range(n_states)),
+        actions=tuple(f"a{j}" for j in range(n_actions)),
+        transition=transition,
+        root=0,
+        goals=goals,
+        heuristic=dict(enumerate(heuristic)),
+    ).validate()

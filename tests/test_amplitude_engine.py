@@ -2,25 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtreesearch import (
     AmplificationSchedule,
     MarkPredicate,
     MissingHeuristicError,
+    PipelinePlan,
     PreparationPlan,
+    ProblemSpec,
+    PruningStage,
     amplify,
+    apply_action_superposition,
     apply_oracle,
+    apply_transition,
     enumerate_paths,
+    init_ground,
     inner_product,
     optimal_iterations,
     path_amplitude,
     predicted_mass,
     prepare_tree_state,
+    pruned_pipeline,
     reflect_about,
+    uninformed_search,
+    write_problem,
 )
+from qtreesearch.amplitude_engine import _RunArrays
 from qtreesearch.generators import needle_problem
 from qtreesearch.statevector import TreeState, dense_entries
-from conftest import DEFAULT_DEPTHS, cli_invoke, fixture_path, load_fixture
+from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
 
 def brute_force_goal_mass(problem, depth) -> float:
@@ -35,6 +47,17 @@ def brute_force_goal_mass(problem, depth) -> float:
 def amp_at(dense, prepared, path) -> complex:
     """Amplitude of a dense state at ``path`` and the node ``prepared`` holds there."""
     return dense.vector[dense.layout.index_of(prepared.entries[path].node, path)]
+
+
+def dense_iterates(state, axis, problem, predicate, k):
+    """k dense reference iterates: the oracle, then the reflection about ``axis``."""
+    for _ in range(k):
+        state = reflect_about(apply_oracle(state, problem, predicate), axis)
+    return state
+
+
+def max_deviation(structured, dense) -> float:
+    return float(np.max(np.abs(structured.to_dense().vector - dense.vector)))
 
 
 def marked_mass(state, problem, predicate) -> float:
@@ -383,6 +406,161 @@ def test_amplify_dense_matches_structured(nonconst5):
     )
     assert s_report.measured_probability == pytest.approx(d_mass, abs=1e-12)
     assert s_report.n_paths == len(enumerate_paths(nonconst5, 2))
+
+
+# -- the two-plane iterate against the dense reference --------------------------
+
+@st.composite
+def search_cases(draw):
+    """A random problem and depth, or a needle at its own depth: its marked mass
+    is small, so the later rounds of an exponential search run k > 0 iterates."""
+    if draw(st.booleans()):
+        depth = draw(st.integers(3, 5))
+        return needle_problem(depth, draw(st.integers(2, 3))), depth
+    return draw(connected_problems()), draw(st.integers(0, 4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    problem=connected_problems(),
+    depth=st.integers(0, 4),
+    threshold=st.sampled_from([None, 0.0, 1.0]),
+)
+def test_explicit_iterates_match_dense_reference(problem, depth, threshold):
+    plan = PreparationPlan.for_problem(problem, depth)
+    if threshold is None:
+        pred = MarkPredicate.goal_at(depth)
+    else:
+        pred = MarkPredicate.threshold_at(depth, threshold)
+    psi = prepare_tree_state(plan)
+    axis = prepare_tree_state(plan, mode="dense")
+    dense = axis
+    for k in range(12):
+        sched = AmplificationSchedule(policy="explicit", iterations=k)
+        final, report = amplify(psi, plan, pred, sched)
+        assert max_deviation(final, dense) <= 1e-12, k
+        assert report.measured_probability == pytest.approx(
+            marked_mass(final, problem, pred), abs=1e-12
+        )
+        dense = dense_iterates(dense, axis, problem, pred, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    problem=connected_problems(),
+    depth=st.integers(1, 4),
+    data=st.data(),
+)
+def test_pruned_pipeline_matches_dense_reference(problem, depth, data):
+    stage = PruningStage(
+        level=data.draw(st.integers(0, depth - 1)),
+        threshold=data.draw(st.sampled_from([0.0, 1.0, 2.0])),
+        iterations=data.draw(st.integers(0, 4)),
+    )
+    k = data.draw(st.integers(0, 4))
+    terminal = AmplificationSchedule(policy="explicit", iterations=k)
+    plan = PipelinePlan(problem, depth, (stage,), terminal)
+    final, _ = pruned_pipeline(plan, seed=0)
+    # the same pipeline on dense states; a stage that marks nothing leaves the state as it is
+    layout = PreparationPlan.for_problem(problem, depth).layout
+    state = init_ground(layout, problem.root, mode="dense")
+    for level in range(depth):
+        if level == stage.level:
+            pred = MarkPredicate.threshold_at(level, stage.threshold)
+            state = dense_iterates(state, state, problem, pred, stage.iterations)
+        state = apply_transition(apply_action_superposition(state, problem, level), problem, level)
+    state = dense_iterates(state, state, problem, MarkPredicate.goal_at(depth), k)
+    assert max_deviation(final, state) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=search_cases(), seed=st.integers(0, 2**16))
+def test_exponential_search_matches_dense_reference(case, seed):
+    problem, depth = case
+    plan = PreparationPlan.for_problem(problem, depth)
+    pred = MarkPredicate.goal_at(depth)
+    rounds = []  # (k, state after the k iterates) of each round, as the engine runs it
+    iterate = _RunArrays.iterate
+
+    def spy(run, k):
+        iterate(run, k)
+        rounds.append((k, run.to_state()))
+
+    _RunArrays.iterate = spy
+    try:
+        sched = AmplificationSchedule(policy="exponential_search", seed=seed, max_oracle_queries=40)
+        final, report = amplify(prepare_tree_state(plan), plan, pred, sched)
+    finally:
+        _RunArrays.iterate = iterate
+    assert sum(k for k, _ in rounds) == report.iterations == report.oracle_queries
+    axis = prepare_tree_state(plan, mode="dense")
+    for k, state in rounds:
+        assert max_deviation(state, dense_iterates(axis, axis, problem, pred, k)) <= 1e-12, k
+    last = rounds[-1][0] if rounds else 0
+    assert max_deviation(final, dense_iterates(axis, axis, problem, pred, last)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem=connected_problems(), depth=st.integers(0, 4), context=st.integers(0, 5))
+def test_marked_rows_are_the_live_rows_of_the_context_length(problem, depth, context):
+    plan = PreparationPlan.for_problem(problem, depth)
+    psi = prepare_tree_state(plan)
+    pred = MarkPredicate.goal_at(context)
+    _, report = amplify(psi, plan, pred, AmplificationSchedule(policy="explicit"))
+    live = [(p, e) for p, e in psi.entries.items() if not e.dead and len(p) == context]
+    assert report.n_paths == len(live)
+    assert report.m_marked == sum(pred.marks(problem, p, e.node, e.dead) for p, e in live)
+
+
+def test_deep_needle_mass_matches_closed_form():
+    # 402 iterates at a = 2**-18; the full-vector loop drifted 1.4e-11 from the closed form
+    _, report = uninformed_search(needle_problem(18, 2), 18, AmplificationSchedule())
+    assert report.iterations == 402
+    assert abs(report.measured_probability - report.predicted_probability) <= 1e-12
+
+
+def test_needle_depth_twenty_goal_command():
+    path, report = uninformed_search(needle_problem(20, 2), 20, AmplificationSchedule())
+    assert path == tuple(i % 2 for i in range(20))
+    assert report.oracle_queries == 804
+
+
+# -- a marked mass that sums an ulp above 1 --------------------------------------
+
+def over_one_problem() -> ProblemSpec:
+    """Every depth-3 path ends at a goal, and the goal mass sums to 1.0000000000000004."""
+    edges = [(0, 2, 1), (1, 0, 0), (1, 1, 0), (1, 2, 1), (2, 0, 0), (2, 1, 2)]
+    return ProblemSpec(
+        name="over1",
+        states=("s0", "s1", "s2"),
+        actions=("a0", "a1", "a2"),
+        transition={(s, a): t for s, a, t in edges},
+        root=0,
+        goals=frozenset({0, 1}),
+    ).validate()
+
+
+@pytest.mark.parametrize(
+    "sched", [AmplificationSchedule(), AmplificationSchedule(policy="explicit")]
+)
+def test_marked_mass_above_one_is_clamped(sched):
+    problem = over_one_problem()
+    plan = PreparationPlan.for_problem(problem, 3)
+    _, report = amplify(prepare_tree_state(plan), plan, MarkPredicate.goal_at(3), sched)
+    assert report.measured_probability > 1.0  # the summed mass, an ulp above 1
+    assert report.iterations == 0
+    assert report.initial_probability == 1.0
+    assert report.predicted_probability == 1.0
+    if sched.policy == "fixed_optimal":
+        assert "single_measurement_sufficient" in report.warnings
+
+
+def test_cli_searches_marked_mass_above_one(tmp_path):
+    path = tmp_path / "over1.problem"
+    write_problem(over_one_problem(), path)
+    status, out = cli_invoke(["search", str(path), "--depth", "3", "--format", "records"])
+    assert status == 0
+    assert "a=1 " in out
 
 
 def test_amplify_rejects_dense_state(binary7):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,21 @@ def test_enumerate_excludes_dead_prefixes():
     # walking past the dead end stops at it, so the path does not follow
     assert p.walk((1, 0)) == (2, 1)
     assert p.follow((1, 0)) is None
+
+
+def test_enumerate_leaves_no_reference_cycle():
+    # with the cyclic collector off, only reference counting can free the problem
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        p = load_fixture("nonconst5")
+        problem = weakref.ref(p)
+        enumerate_paths(p, 2)
+        del p
+        assert problem() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_paths_revalidate(binary7):

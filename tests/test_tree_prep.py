@@ -21,7 +21,7 @@ from qtreesearch import (
 from qtreesearch.generators import needle_problem
 from qtreesearch.statevector import TreeState
 from qtreesearch.tree_prep import action_images, count_prefixes, transition_images
-from conftest import DEFAULT_DEPTHS, load_fixture
+from conftest import DEFAULT_DEPTHS, connected_problems, load_fixture
 
 
 def test_uniform_split_at_root(binary7):
@@ -298,27 +298,6 @@ def test_operators_preserve_domain_inner_products(stem):
 
 
 # -- property: random problems keep the invariants ---------------------------
-
-@st.composite
-def connected_problems(draw):
-    n_states = draw(st.integers(2, 5))
-    n_actions = draw(st.integers(1, 3))
-    transition = {}
-    for s in range(n_states):
-        for a in range(n_actions):
-            if draw(st.booleans()):
-                transition[(s, a)] = draw(st.integers(0, n_states - 1))
-    from qtreesearch import ProblemSpec
-
-    return ProblemSpec(
-        name="rnd",
-        states=tuple(f"s{i}" for i in range(n_states)),
-        actions=tuple(f"a{j}" for j in range(n_actions)),
-        transition=transition,
-        root=0,
-        goals=frozenset(),
-    ).validate()
-
 
 @settings(max_examples=50, deadline=None)
 @given(problem=connected_problems(), depth=st.integers(0, 4))
