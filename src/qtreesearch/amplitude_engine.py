@@ -7,8 +7,10 @@ exactly, whatever the amplitude profile. Non-constant branching only changes
 a, never the two-dimensional rotation.
 
 Cost is counted in phase-oracle applications, one per iterate: an O(1) update
-of two coefficients in that plane. ``apply_oracle`` and ``reflect_about`` are
-the dense reference, which tests compare against.
+of two coefficients in that plane. An exponential-search round samples by
+bisecting the cumulative masses of the marked and unmarked rows, so only the
+returned state is rebuilt as a vector. ``apply_oracle`` and ``reflect_about``
+are the dense reference, which tests compare against.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import MissingHeuristicError, ProblemSpec, enumerate_paths
-from .statevector import LayoutMismatchError, TreeState
+from .statevector import LayoutMismatchError, TreeState, ZeroNormError
 from .tree_prep import PreparationPlan
 
 GOAL = "goal"
@@ -166,7 +168,7 @@ class _RunArrays:
 
     psi_good and psi_bad are the starting state on the marked rows and on the
     rest, with norms g2 and b2; the iterate keeps their plane, so it updates
-    only the coefficients. The amplitudes are rebuilt to sample or to return.
+    only the coefficients, and a draw bisects the classes' cumulative masses.
     """
 
     def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
@@ -189,6 +191,7 @@ class _RunArrays:
         unmarked = np.ones(axis.size, dtype=bool)
         unmarked[self.marked] = False  # b2 is summed on its own rows, so it stays >= 0
         self.g2, self.b2 = (float(np.vdot(v, v).real) for v in (axis[self.marked], axis[unmarked]))
+        self.cum = None  # (G, B): marked and unmarked |psi_j|^2 summed over rows j <= i
         self.reset()
 
     def reset(self) -> None:
@@ -205,22 +208,38 @@ class _RunArrays:
             c_g, c_b = 2 * s + c_g, 2 * s - c_b
         self.c_g, self.c_b = c_g, c_b
 
-    def amps(self) -> np.ndarray:
-        if self.c_g == self.c_b == 1.0:  # no iterate since reset; states never write amp
-            return self.axis
-        amps = self.axis * self.c_b
-        amps[self.marked] = self.axis[self.marked] * self.c_g
-        return amps
-
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
-        probs = np.abs(self.amps()) ** 2
-        probs /= probs.sum()
-        i = int(rng.choice(len(probs), p=probs))
-        return self.state.path(i), int(self.state.node[i])
+        """Draw the row ``rng.choice(n, p=|amps|^2/sum)`` would, from the same
+        one double, by bisecting the cumulative masses in O(log n)."""
+        if self.cum is None:
+            w = np.abs(self.axis) ** 2
+            g = np.zeros_like(w)
+            g[self.marked] = w[self.marked]
+            w[self.marked] = 0.0
+            # a memoryview indexes to Python floats, which the loop below adds fastest
+            self.cum = memoryview(np.cumsum(g, out=g)), memoryview(np.cumsum(w, out=w))
+        cum_g, cum_b = self.cum
+        wg, wb = self.c_g * self.c_g, self.c_b * self.c_b
+        lo, hi = 0, len(cum_g) - 1
+        total = wg * cum_g[hi] + wb * cum_b[hi]
+        if not total > 0.0:  # zero or NaN, which choice rejects too
+            raise ZeroNormError("cannot sample from a zero-norm state")
+        target = rng.random() * total
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if wg * cum_g[mid] + wb * cum_b[mid] > target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return self.state.path(lo), int(self.state.node[lo])
 
     def to_state(self) -> TreeState:
-        s = self.state
-        return TreeState.from_arrays(s.layout, s.actions, s.node, self.amps(), s.dead)
+        self.cum = None  # the rebuilt vector takes their room
+        s, amps = self.state, self.axis
+        if not self.c_g == self.c_b == 1.0:  # no iterate since reset; states never write amp
+            amps = self.axis * self.c_b
+            amps[self.marked] = self.axis[self.marked] * self.c_g
+        return TreeState.from_arrays(s.layout, s.actions, s.node, amps, s.dead)
 
 
 def amplify(

@@ -79,10 +79,9 @@ def _finalize(
 ) -> tuple[tuple[int, ...] | None, RunReport]:
     """Draw validation samples from the final state and return the first good one."""
     if sched.policy == POLICY_EXPONENTIAL:
-        # exponential search already measured and validated inside the loop
-        for path, _ in report.samples[::-1]:
-            if predicate.holds_classically(problem, path):
-                return path, report
+        # amplify validated each round and stopped at the first sample that held
+        if report.samples and predicate.holds_classically(problem, report.samples[-1][0]):
+            return report.samples[-1][0], report
         return None, report
     if report.initial_probability == 0.0:
         return None, report
@@ -250,19 +249,13 @@ def greedy_quantum_loop(
             seed=derive_seed(seed, step),
             max_oracle_queries=step_budget,
         )
-        x0 = prepare_tree_state(sub_plan)
-        _, report = amplify(x0, sub_plan, MarkPredicate.threshold_at(1, tau), sched)
+        predicate = MarkPredicate.threshold_at(1, tau)
+        _, report = amplify(prepare_tree_state(sub_plan), sub_plan, predicate, sched)
         reports.append(report)
-        chosen = None
-        for path, node in report.samples[::-1]:
-            if len(path) == 1 and sub_problem.follow(path) is not None:
-                if problem.h(node) <= tau:
-                    chosen = (path[0], node)
-                    break
-        if chosen is None:
+        path, current = report.samples[-1]  # amplify stops at the first sample that holds
+        if not predicate.holds_classically(sub_problem, path):
             return None, reports
-        committed.append(chosen[0])
-        current = chosen[1]
+        committed.append(path[0])
     if reports:
         reports[-1] = replace(
             reports[-1], warnings=reports[-1].warnings + ("depth_limit_reached",)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qtreesearch import (
     apply_transition,
     enumerate_paths,
     init_ground,
+    iterative_deepening_search,
     inner_product,
     optimal_iterations,
     path_amplitude,
@@ -28,9 +30,10 @@ from qtreesearch import (
     reflect_about,
     uninformed_search,
     write_problem,
+    ZeroNormError,
 )
 from qtreesearch.amplitude_engine import _RunArrays
-from qtreesearch.generators import needle_problem
+from qtreesearch.generators import grid_problem, needle_problem
 from qtreesearch.statevector import TreeState, dense_entries
 from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
@@ -498,6 +501,71 @@ def test_exponential_search_matches_dense_reference(case, seed):
         assert max_deviation(state, dense_iterates(axis, axis, problem, pred, k)) <= 1e-12, k
     last = rounds[-1][0] if rounds else 0
     assert max_deviation(final, dense_iterates(axis, axis, problem, pred, last)) <= 1e-12
+
+
+# -- the exponential-search draw against rng.choice ------------------------------
+
+def choice_draw(run, rng):
+    """The (path, node) that ``rng.choice`` draws from the run's amplitudes."""
+    state = copy.copy(run).to_state()  # a shallow copy: ``run`` keeps its cumulative masses
+    probs = np.abs(state.amp) ** 2
+    probs /= probs.sum()
+    i = int(rng.choice(len(probs), p=probs))
+    return state.path(i), int(state.node[i])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    problem=connected_problems(),
+    depth=st.integers(0, 4),
+    threshold=st.sampled_from([None, 0.0, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_sample_draws_the_row_choice_draws(problem, depth, threshold, seed):
+    plan = PreparationPlan.for_problem(problem, depth)
+    if threshold is None:
+        pred = MarkPredicate.goal_at(depth)
+    else:
+        pred = MarkPredicate.threshold_at(depth, threshold)
+    run = _RunArrays(prepare_tree_state(plan), problem, pred)
+    rng = np.random.default_rng(seed)
+    for k in range(12):
+        run.reset()
+        run.iterate(k)
+        for _ in range(3):
+            ref = copy.deepcopy(rng)
+            assert run.sample(rng) == choice_draw(run, ref), k
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_grid_search_round_draws_the_row_choice_draws(seed, monkeypatch):
+    sample = _RunArrays.sample
+    rounds = []
+
+    def spy(run, rng):
+        ref = copy.deepcopy(rng)
+        drawn = sample(run, rng)
+        assert drawn == choice_draw(run, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        rounds.append(drawn)
+        return drawn
+
+    monkeypatch.setattr(_RunArrays, "sample", spy)
+    sched = AmplificationSchedule(policy="exponential_search", seed=seed)
+    _, reports = iterative_deepening_search(grid_problem(4, 4), 8, sched)
+    assert len(rounds) == sum(r.samples_drawn for r in reports) > 100
+
+
+@pytest.mark.parametrize("fill", [0.0, math.nan])
+def test_exponential_search_on_zero_norm_state_raises(binary7, fill):
+    plan = PreparationPlan.for_problem(binary7, 2)
+    psi = prepare_tree_state(plan)
+    amp = np.full_like(psi.amp, fill)
+    state = TreeState.from_arrays(psi.layout, psi.actions, psi.node, amp, psi.dead)
+    sched = AmplificationSchedule(policy="exponential_search")
+    with pytest.raises(ZeroNormError):
+        amplify(state, plan, MarkPredicate.goal_at(2), sched)
 
 
 @settings(max_examples=50, deadline=None)
