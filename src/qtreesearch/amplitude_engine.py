@@ -7,10 +7,12 @@ exactly, whatever the amplitude profile. Non-constant branching only changes
 a, never the two-dimensional rotation.
 
 Cost is counted in phase-oracle applications, one per iterate: an O(1) update
-of two coefficients in that plane. An exponential-search round samples by
-bisecting the cumulative masses of the marked and unmarked rows, so only the
-returned state is rebuilt as a vector. ``apply_oracle`` and ``reflect_about``
-are the dense reference, which tests compare against.
+of two coefficients in that plane. On a prepared tree the two norms are its
+root's class masses and a draw walks down the tree by them, so a plain run
+builds no rows; the returned state carries the two coefficients. A state
+held as rows (the pruning pipeline's) samples by bisecting the cumulative
+masses of its marked and unmarked rows instead. ``apply_oracle`` and
+``reflect_about`` are the dense reference, which tests compare against.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import MissingHeuristicError, ProblemSpec, enumerate_paths
-from .statevector import LayoutMismatchError, TreeState, ZeroNormError
+from .statevector import LayoutMismatchError, TreeState, ZeroNormError, scale_classes
 from .tree_prep import PreparationPlan
 
 GOAL = "goal"
@@ -168,11 +170,25 @@ class _RunArrays:
 
     psi_good and psi_bad are the starting state on the marked rows and on the
     rest, with norms g2 and b2; the iterate keeps their plane, so it updates
-    only the coefficients, and a draw bisects the classes' cumulative masses.
+    only the coefficients. A deferred state with unit weights (a prepared
+    tree) takes g2, b2 and its draws from its class masses and builds no rows;
+    any other state's draw bisects the classes' cumulative masses over its rows.
     """
 
     def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
-        self.state = state
+        self.state, self.tree = state, None
+        tree = state.deferred
+        if tree is not None and tree.c_g == tree.c_b == 1.0:
+            # every live row holds exactly depth actions, so another context marks nothing
+            on_rows = predicate.depth_context == state.layout.depth
+            self.tree = tree = tree.marking(
+                (lambda s: predicate.holds_at(problem, s)) if on_rows else None
+            )
+            self.n_paths = tree.live if on_rows else 0
+            self.m_marked = tree.marked_paths()
+            _, self.g2, self.b2 = tree.masses()
+            self.reset()
+            return
         self.axis = axis = state.amp
         d, width = predicate.depth_context, state.actions.shape[1]
         live = ~state.dead & (d <= width)  # d actions: column d-1 is set, column d is the pad
@@ -201,16 +217,22 @@ class _RunArrays:
         return self.c_g * self.c_g * self.g2
 
     def iterate(self, k: int) -> None:
-        """Apply k iterates: oracle, then reflection about the starting state."""
+        """Apply k iterates: oracle, then reflection about the starting state,
+        2|psi><psi|/<psi|psi> - 1, so that a norm rounded off 1 does not drift."""
         c_g, c_b, g2, b2 = self.c_g, self.c_b, self.g2, self.b2
+        if g2 + b2 > 0.0:
+            g2, b2 = g2 / (g2 + b2), b2 / (g2 + b2)
         for _ in range(k):
-            s = -c_g * g2 + c_b * b2  # <psi| oracle |state>
+            s = -c_g * g2 + c_b * b2  # <psi| oracle |state> / <psi|psi>
             c_g, c_b = 2 * s + c_g, 2 * s - c_b
         self.c_g, self.c_b = c_g, c_b
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
         """Draw the row ``rng.choice(n, p=|amps|^2/sum)`` would, from the same
-        one double, by bisecting the cumulative masses in O(log n)."""
+        one double: down the tree's class masses, or by bisecting the rows'
+        cumulative masses in O(log n)."""
+        if self.tree is not None:
+            return self.tree.draw(rng.random(), self.c_g, self.c_b)
         if self.cum is None:
             w = np.abs(self.axis) ** 2
             g = np.zeros_like(w)
@@ -234,11 +256,11 @@ class _RunArrays:
         return self.state.path(lo), int(self.state.node[lo])
 
     def to_state(self) -> TreeState:
+        s = self.state
+        if self.tree is not None:
+            return TreeState.deferred_from(s.layout, self.tree.weighted(self.c_g, self.c_b))
         self.cum = None  # the rebuilt vector takes their room
-        s, amps = self.state, self.axis
-        if not self.c_g == self.c_b == 1.0:  # no iterate since reset; states never write amp
-            amps = self.axis * self.c_b
-            amps[self.marked] = self.axis[self.marked] * self.c_g
+        amps = scale_classes(self.axis, self.marked, self.c_g, self.c_b)
         return TreeState.from_arrays(s.layout, s.actions, s.node, amps, s.dead)
 
 

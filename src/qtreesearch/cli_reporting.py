@@ -134,8 +134,8 @@ def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
         for line in state_dump_lines(state):
             print(("command=prepare " if records else "") + line, file=out)
         return EXIT_OK
-    n_dead = int(state.dead.sum())
-    head = _record(depth=args.depth, live_paths=len(state.dead) - n_dead, dead_prefixes=n_dead,
+    live, dead = state.prefix_counts()
+    head = _record(depth=args.depth, live_paths=live, dead_prefixes=dead,
                    norm=state.norm_sq(), total_width=plan.layout.total_width)
     print(("command=prepare " if records else "[prepare] ") + head, file=out)
     for path, node in measure_paths(state, samples, args.seed):

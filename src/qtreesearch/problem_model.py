@@ -42,10 +42,10 @@ class ProblemArrays(NamedTuple):
     """Array form of the admissible actions and transitions, for the vectorised tree.
 
     The children of a prefix are listed state by state (compressed rows):
-    state ``s`` owns ``counts[s]`` entries of ``child_action`` and
-    ``child_node`` from ``start[s]`` on. A state with no admissible action owns
-    one entry, the prefix kept as it is (action -1, node ``n_states``). Row
-    ``n_states`` stands for a prefix that is already dead and is kept too.
+    state ``s`` owns ``counts[s]`` entries of ``child_action`` from
+    ``start[s]`` on. A state with no admissible action owns one entry, the
+    prefix kept as it is (action -1). Row ``n_states`` stands for a prefix
+    that is already dead and is kept too.
     """
 
     # (n_states, n_actions + 1) successor of each pair, -1 where not admissible;
@@ -53,12 +53,10 @@ class ProblemArrays(NamedTuple):
     table: np.ndarray
     # (n_states + 1,) children of a prefix at each state
     counts: np.ndarray
-    # (n_states + 1,) offset of each state's children in the two lists below
+    # (n_states + 1,) offset of each state's children in the list below
     start: np.ndarray
     # the action of each child, in action order within a state; -1 when kept
     child_action: np.ndarray
-    # the node each child moves to; n_states when kept
-    child_node: np.ndarray
     # (n_states + 1,) amplitude factor of each child, 1/sqrt(#admissible); 1 when kept
     scale: np.ndarray
 
@@ -104,19 +102,14 @@ class ProblemSpec:
         table = [[-1] * (m + 1) for _ in range(n)]
         for (s, a), t in self.transition.items():
             table[s][a] = t
-        # (action, node) of each child; a prefix with nowhere to go is kept, and so is a dead one
-        children = [
-            [(a, row[a]) for a in acts] or [(-1, n)] for acts, row in zip(self.admissible, table)
-        ]
-        children.append([(-1, n)])
+        # the action of each child; a prefix with nowhere to go is kept, and so is a dead one
+        children = [list(acts) or [-1] for acts in self.admissible] + [[-1]]
         counts = np.array([len(kids) for kids in children])
-        action, node = zip(*(kid for kids in children for kid in kids))
         return ProblemArrays(
             table=np.array(table, dtype=np.int32),
             counts=counts,
             start=np.cumsum(counts) - counts,
-            child_action=np.array(action, dtype=np.int32),
-            child_node=np.array(node, dtype=np.int32),
+            child_action=np.array([a for kids in children for a in kids], dtype=np.int32),
             scale=np.array([1 / math.sqrt(len(a)) if a else 1.0 for a in self.admissible] + [1.0]),
         )
 

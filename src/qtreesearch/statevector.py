@@ -5,7 +5,9 @@ Two representations are kept deliberately:
 * structured -- one amplitude per admissible path prefix, in aligned arrays
   kept in path order. The node value and a dead flag are stored alongside
   each prefix; configurations that are not admissible prefixes implicitly
-  hold amplitude zero.
+  hold amplitude zero. A prepared tree is deferred: it answers its row
+  counts, norm and draws from per-state counts and class masses, and
+  builds the arrays only when one is read.
 * dense -- the full 2**total_width complex vector, the test reference: it
   checks that the structured bookkeeping is faithful rather than assuming it,
   and inner products, the oracle and the reflection are defined on it alone.
@@ -95,9 +97,13 @@ class TreeState:
     ``node``, ``amp`` and ``dead``. Rows stay in path order, a prefix before
     its extensions, so no operator sorts. States share these arrays and never
     write them after construction.
+
+    A deferred state (``deferred`` is set) holds what built it instead: its
+    counts, norm and draws come from that, and its arrays are built the
+    first time one of them is read.
     """
 
-    __slots__ = ("layout", "mode", "actions", "node", "amp", "dead", "vector")
+    __slots__ = ("layout", "mode", "actions", "node", "amp", "dead", "vector", "deferred")
 
     def __init__(
         self,
@@ -121,6 +127,7 @@ class TreeState:
         self.amp = np.array([e.amp for _, e in items], dtype=np.complex128)
         self.dead = np.array([e.dead for _, e in items], dtype=bool)
         self.vector = vector
+        self.deferred = None
 
     @classmethod
     def from_arrays(
@@ -133,9 +140,35 @@ class TreeState:
     ) -> "TreeState":
         """A structured state over rows that are already in path order."""
         state = cls.__new__(cls)
-        state.layout, state.mode, state.vector = layout, "structured", None
+        state.layout, state.mode, state.vector, state.deferred = layout, "structured", None, None
         state.actions, state.node, state.amp, state.dead = actions, node, amp, dead
         return state
+
+    @classmethod
+    def deferred_from(cls, layout: RegisterLayout, rows) -> "TreeState":
+        """A structured state whose rows ``rows.build()`` makes when first read;
+        ``rows`` also gives their counts, ``norm_sq`` and ``draw``."""
+        state = cls.__new__(cls)
+        state.layout, state.mode, state.vector, state.deferred = layout, "structured", None, rows
+        return state
+
+    def __getattr__(self, name: str):
+        # reached only for a slot that is not set: the arrays of a deferred state
+        if name not in _ROW_ARRAYS or self.deferred is None:
+            raise AttributeError(name)
+        self.actions, self.node, self.amp, self.dead = self.deferred.build()
+        return getattr(self, name)
+
+    @property
+    def n_rows(self) -> int:
+        return self.deferred.rows if self.deferred is not None else len(self.amp)
+
+    def prefix_counts(self) -> tuple[int, int]:
+        """(live paths, dead prefixes) of a structured state."""
+        if self.deferred is not None:
+            return self.deferred.live, self.deferred.dead
+        n_dead = int(self.dead.sum())
+        return len(self.dead) - n_dead, n_dead
 
     @property
     def entries(self) -> "_Entries":
@@ -146,6 +179,8 @@ class TreeState:
         return tuple(a for a in self.actions[row].tolist() if a >= 0)
 
     def norm_sq(self) -> float:
+        if self.deferred is not None:
+            return self.deferred.norm_sq()
         v = self.vector if self.mode == "dense" else self.amp
         return float(np.vdot(v, v).real)
 
@@ -170,6 +205,19 @@ class TreeState:
         return TreeState(self.layout, "dense", vector=vec)
 
 
+_ROW_ARRAYS = frozenset(("actions", "node", "amp", "dead"))
+
+
+def scale_classes(amp: np.ndarray, marked, c_g: float, c_b: float) -> np.ndarray:
+    """``amp`` with the ``marked`` rows times ``c_g`` and the rest times ``c_b``;
+    ``amp`` itself when both are 1, since states never write their arrays."""
+    if c_g == c_b == 1.0:
+        return amp
+    out = amp * c_b
+    out[marked] = amp[marked] * c_g
+    return out
+
+
 class _Entries(Mapping):
     """Path -> ``Entry`` over a structured state's rows; a lookup bisects the path order."""
 
@@ -179,7 +227,7 @@ class _Entries(Mapping):
         self._state = state
 
     def __len__(self) -> int:
-        return len(self._state.amp)
+        return self._state.n_rows
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return (path for path, _ in self._state.sorted_entries())
@@ -239,9 +287,12 @@ def _measure_with_rng(
 ) -> list[tuple[tuple[int, ...], int]]:
     if state.mode == "dense":
         state = TreeState(state.layout, entries=dict(dense_entries(state, problem)))
+    rows = state.deferred
+    if rows is not None:  # the doubles rng.choice would take, each walked down the tree
+        return [rows.draw(u, rows.c_g, rows.c_b) for u in rng.random(samples).tolist()]
     probs = np.abs(state.amp) ** 2
     total = probs.sum()
-    if total <= 0.0:
+    if not total > 0.0:  # zero or NaN, which rng.choice would reject as a ValueError
         raise ZeroNormError("cannot sample from a zero-norm state")
     probs /= total
     picks = rng.choice(len(probs), size=samples, p=probs)

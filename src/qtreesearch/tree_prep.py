@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .problem_model import ProblemSpec
-from .statevector import RegisterLayout, TreeState, init_ground
+from .statevector import RegisterLayout, TreeState, ZeroNormError, init_ground, scale_classes
 
 PREFIX_CAP = 1 << 24  # rows of a structured state; beyond that preparation is refused
 
@@ -40,30 +41,54 @@ class PreparationPlan:
         allocated, when the tree has more than ``PREFIX_CAP`` prefixes."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        if count_prefixes(problem, depth) > PREFIX_CAP:
-            raise ValueError(
-                f"the depth-{depth} tree of {problem.name!r} has more than 2**24 path prefixes"
-            )
         layout = RegisterLayout.from_sizes(problem.n_states, problem.n_actions, depth)
-        return cls(problem=problem, depth=depth, layout=layout)
+        plan = cls(problem=problem, depth=depth, layout=layout)
+        plan.check_cap()
+        return plan
+
+    @cached_property
+    def counts(self) -> tuple[list[dict[int, int]], int]:
+        """The forward pass of ``_count_levels``, made once per plan."""
+        return _count_levels(self.problem, self.depth)
+
+    def check_cap(self) -> None:
+        levels, dead = self.counts
+        if dead + sum(levels[-1].values()) > PREFIX_CAP:
+            raise ValueError(
+                f"the depth-{self.depth} tree of {self.problem.name!r}"
+                " has more than 2**24 path prefixes"
+            )
 
 
 def count_prefixes(problem: ProblemSpec, depth: int) -> int:
     """Rows of the prepared depth-``depth`` state (live paths plus frozen dead
-    ends), from per-state prefix counts level by level in O(depth * |E|).
+    ends), counted per reachable state level by level.
 
     Counting stops at the first level where the count passes ``PREFIX_CAP``,
     so a count above the cap is a lower bound.
     """
-    arrays = problem.arrays
-    parent = np.repeat(np.arange(problem.n_states + 1), arrays.counts)
-    rows = np.zeros(problem.n_states + 1)  # prefixes per node; the last slot counts dead ones
-    rows[problem.root] = 1.0
+    levels, dead = _count_levels(problem, depth)
+    return dead + sum(levels[-1].values())
+
+
+def _count_levels(problem: ProblemSpec, depth: int) -> tuple[list[dict[int, int]], int]:
+    """The forward pass: ``levels[l]`` maps each state that live length-``l``
+    prefixes end at to their exact number, and the int counts the prefixes
+    frozen at a dead end on the way. Stops early once the rows pass the cap."""
+    admissible, transition = problem.admissible, problem.transition
+    levels, dead = [{problem.root: 1}], 0
     for _ in range(depth):
-        rows = np.bincount(arrays.child_node, weights=rows[parent], minlength=len(rows))
-        if rows.sum() > PREFIX_CAP:
+        nxt: dict[int, int] = {}
+        for s, n in levels[-1].items():
+            if not admissible[s]:
+                dead += n
+            for a in admissible[s]:
+                t = transition[(s, a)]
+                nxt[t] = nxt.get(t, 0) + n
+        levels.append(nxt)
+        if dead + sum(nxt.values()) > PREFIX_CAP:
             break
-    return int(rows.sum())
+    return levels, dead
 
 
 def action_images(
@@ -194,17 +219,132 @@ def _move(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
     return TreeState.from_arrays(state.layout, state.actions, node, state.amp, state.dead)
 
 
+class DeferredRows:
+    """The rows of a prepared structured state, held as their plan until read.
+
+    ``levels`` and ``dead`` are the plan's forward pass, ``plan.counts``. The
+    backward pass is made for ``marks``, a test on the node of a depth-d row
+    (None marks nothing). For each level l < d and each state s reached there
+    it lists the children of a prefix ending at s, in action order, as
+    (action, state, marked mass, unmarked mass): the |amplitude|^2 mass of the
+    rows below the child relative to the prefix's own, times the factor
+    (1/sqrt|A(s)|)^2 that the rows carry for the step. A prefix frozen at a
+    dead end has no children and is one unmarked row. The state's amplitudes
+    are the preparation's with the marked rows times c_g and the rest times c_b.
+    """
+
+    __slots__ = ("plan", "levels", "dead", "marks", "c_g", "c_b", "_masses")
+
+    def __init__(self, plan: PreparationPlan, marks=None, c_g=1.0, c_b=1.0, masses=None):
+        self.plan, (self.levels, self.dead), self.marks = plan, plan.counts, marks
+        self.c_g, self.c_b, self._masses = c_g, c_b, masses
+
+    @property
+    def live(self) -> int:
+        return sum(self.levels[-1].values())
+
+    @property
+    def rows(self) -> int:
+        return self.live + self.dead
+
+    def marked_states(self) -> list[int]:
+        """The nodes of live depth-d rows that ``marks`` holds at."""
+        return [s for s in self.levels[-1] if self.marks is not None and self.marks(s)]
+
+    def marked_paths(self) -> int:
+        return sum(self.levels[-1][s] for s in self.marked_states())
+
+    def marking(self, marks) -> "DeferredRows":
+        """The same rows, with the backward pass made for ``marks``."""
+        return DeferredRows(self.plan, marks)
+
+    def weighted(self, c_g: float, c_b: float) -> "DeferredRows":
+        return DeferredRows(self.plan, self.marks, c_g, c_b, self.masses())
+
+    def masses(self) -> tuple[list[dict], float, float]:
+        """(children per level, marked mass, unmarked mass) of the whole tree."""
+        if self._masses is None:
+            problem, marked = self.plan.problem, set(self.marked_states())
+            mass = {s: (1.0, 0.0) if s in marked else (0.0, 1.0) for s in self.levels[-1]}
+            children = []
+            for level in reversed(self.levels[:-1]):
+                kids_at, up = {}, {}
+                for s in level:
+                    acts = problem.admissible[s]
+                    if not acts:  # a dead end: one unmarked row
+                        kids_at[s], up[s] = (1.0, []), (0.0, 1.0)
+                        continue
+                    f = 1 / math.sqrt(len(acts))
+                    f2, kids = f * f, []
+                    for a in acts:
+                        t = problem.transition[(s, a)]
+                        kids.append((a, t, f2 * mass[t][0], f2 * mass[t][1]))
+                    kids_at[s] = (f2, kids)
+                    up[s] = (sum(k[2] for k in kids), sum(k[3] for k in kids))
+                children.append(kids_at)
+                mass = up
+            children.reverse()
+            self._masses = children, *mass[problem.root]
+        return self._masses
+
+    def norm_sq(self) -> float:
+        _, g2, b2 = self.masses()
+        return self.c_g * self.c_g * g2 + self.c_b * self.c_b * b2
+
+    def draw(self, u: float, c_g: float, c_b: float) -> tuple[tuple[int, ...], int]:
+        """The (path, node) of the row that ``rng.choice`` picks with the
+        uniform double ``u`` when the marked amplitudes are times ``c_g`` and
+        the rest times ``c_b``: lay the rows' masses end to end in path order
+        and, from the root, step over whole children until ``u`` times the
+        total lies in one."""
+        children, g2, b2 = self.masses()
+        wg, wb = c_g * c_g, c_b * c_b
+        total = wg * g2 + wb * b2
+        if not total > 0.0:  # zero or NaN
+            raise ZeroNormError("cannot sample from a zero-norm state")
+        target = u * total
+        path, s, w = [], self.plan.problem.root, 1.0
+        for kids_at in children:
+            f2, kids = kids_at[s]
+            pick = None
+            for a, t, g, b in kids:
+                m = w * (wg * g + wb * b)
+                if m > 0.0:
+                    pick = a, t  # rounding may leave the target past every child: take the last
+                    if target < m:
+                        break
+                    target -= m
+            if pick is None:  # a dead end, which is its own row
+                break
+            path.append(pick[0])
+            s, w = pick[1], w * f2
+        return tuple(path), s
+
+    def build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows (actions, node, amp, dead), by the level loop of the operators."""
+        problem = self.plan.problem
+        state = init_ground(self.plan.layout, problem.root)
+        # every row built here holds a state of the problem and the right number
+        # of admissible actions, so the operators' checks on outside input are skipped
+        for level in range(self.plan.depth):
+            state = _move(_extend(state, problem, level), problem, level)
+        marked = ~state.dead & np.isin(state.node, self.marked_states())
+        amp = scale_classes(state.amp, marked, self.c_g, self.c_b)
+        return state.actions, state.node, amp, state.dead
+
+
 def prepare_tree_state(plan: PreparationPlan, mode: str = "structured") -> TreeState:
-    """Ground state followed by d rounds of (action superposition; transition)."""
+    """Ground state followed by d rounds of (action superposition; transition).
+
+    A structured state is deferred: it holds the plan and its counts, and its
+    rows are built the first time one is read.
+    """
     problem = plan.problem
+    if mode != "dense":
+        plan.check_cap()  # a plan made without ``for_problem`` was never checked
+        return TreeState.deferred_from(plan.layout, DeferredRows(plan))
     state = init_ground(plan.layout, problem.root, mode)
-    if mode == "dense":
-        for level in range(plan.depth):
-            state = apply_action_superposition(state, problem, level)
-            state = apply_transition(state, problem, level)
-        return state
-    # every row built here holds a state of the problem and the right number
-    # of admissible actions, so the operators' checks on outside input are skipped
     for level in range(plan.depth):
-        state = _move(_extend(state, problem, level), problem, level)
+        state = apply_action_superposition(state, problem, level)
+        state = apply_transition(state, problem, level)
     return state

@@ -22,6 +22,7 @@ from qtreesearch import (
     init_ground,
     iterative_deepening_search,
     inner_product,
+    measure_paths,
     optimal_iterations,
     path_amplitude,
     predicted_mass,
@@ -555,6 +556,50 @@ def test_every_grid_search_round_draws_the_row_choice_draws(seed, monkeypatch):
     sched = AmplificationSchedule(policy="exponential_search", seed=seed)
     _, reports = iterative_deepening_search(grid_problem(4, 4), 8, sched)
     assert len(rounds) == sum(r.samples_drawn for r in reports) > 100
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    problem=connected_problems(),
+    depth=st.integers(0, 4),
+    context=st.integers(0, 5),
+    threshold=st.sampled_from([None, 0.0, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_deferred_state_agrees_with_its_rows(problem, depth, context, threshold, seed):
+    plan = PreparationPlan.for_problem(problem, depth)
+    if threshold is None:
+        pred = MarkPredicate.goal_at(context)
+    else:
+        pred = MarkPredicate.threshold_at(context, threshold)
+    deferred = prepare_tree_state(plan)
+    assert deferred.deferred is not None
+    rows = TreeState.from_arrays(
+        plan.layout, deferred.actions, deferred.node, deferred.amp, deferred.dead
+    )
+    assert len(deferred.entries) == len(rows.amp)
+    assert deferred.prefix_counts() == rows.prefix_counts()
+    assert deferred.norm_sq() == pytest.approx(rows.norm_sq(), abs=1e-12)
+    runs = _RunArrays(deferred, problem, pred), _RunArrays(rows, problem, pred)
+    assert runs[0].tree is not None and runs[1].tree is None
+    assert (runs[0].n_paths, runs[0].m_marked) == (runs[1].n_paths, runs[1].m_marked)
+    assert runs[0].g2 == pytest.approx(runs[1].g2, abs=1e-12)
+    assert runs[0].b2 == pytest.approx(runs[1].b2, abs=1e-12)
+    rng = np.random.default_rng(seed)
+    for k in range(12):
+        for run in runs:
+            run.reset()
+            run.iterate(k)
+        assert runs[0].marked_mass() == pytest.approx(runs[1].marked_mass(), abs=1e-12)
+        ref = copy.deepcopy(rng)
+        assert runs[0].sample(rng) == runs[1].sample(ref), k
+        assert rng.bit_generator.state == ref.bit_generator.state
+        weighted, built = (run.to_state() for run in runs)
+        assert weighted.norm_sq() == pytest.approx(built.norm_sq(), abs=1e-12)
+        assert measure_paths(weighted, 3, seed + k) == measure_paths(built, 3, seed + k), k
+        # given the same coefficients, reading the rows applies them as the row path does
+        runs[1].c_g, runs[1].c_b = runs[0].c_g, runs[0].c_b
+        assert np.array_equal(weighted.amp, runs[1].to_state().amp)
 
 
 @pytest.mark.parametrize("fill", [0.0, math.nan])

@@ -37,6 +37,24 @@ def test_uninformed_finds_unique_goal_path(binary7):
     assert report.measured_probability == pytest.approx(1.0, abs=1e-12)
 
 
+def test_mislead_threshold_misses_are_the_three_draws_of_a_three_quarter_mass():
+    # a = 0.75 gives k = 0, so all three validation draws miss with probability
+    # (1/4)**3 = 1/64: 64 expected misses in 4,096 seeds, sd 7.9; seeds fixed
+    problem = load_fixture("mislead")
+    predicate = MarkPredicate.threshold_at(2, 2.5)
+    misses = []
+    for seed in range(4096):
+        path, report = uninformed_search(problem, 2, fixed(seed=seed), predicate)
+        if path is None:
+            misses.append(report)
+    assert 33 <= len(misses) <= 96
+    for report in misses:
+        assert report.initial_probability == pytest.approx(0.75)
+        assert report.oracle_queries == 0
+        assert "sampling_failed" in report.warnings
+        assert report.samples_drawn == len(report.samples) == 3
+
+
 def test_uninformed_goalless_returns_none():
     p = load_fixture("goalless")
     path, report = uninformed_search(p, 2, fixed(seed=1))

@@ -17,6 +17,7 @@ from qtreesearch import (
     measure_paths,
     prepare_tree_state,
 )
+from qtreesearch.amplitude_engine import _RunArrays
 from qtreesearch.cli_reporting import state_dump_lines
 from qtreesearch.statevector import TreeState, dense_entries
 from conftest import load_fixture
@@ -109,6 +110,21 @@ def test_measure_zero_norm_rejected():
     state = TreeState(lay, entries={(): ground.entries[()]._replace(amp=0j)})
     with pytest.raises(ZeroNormError):
         measure_paths(state, 1, seed=0)
+
+
+@pytest.mark.parametrize("fill", [0.0, math.nan])
+def test_measure_zero_or_nan_norm_rejected(binary7, fill):
+    plan = PreparationPlan.for_problem(binary7, 2)
+    run = _RunArrays(prepare_tree_state(plan), binary7, MarkPredicate.goal_at(2))
+    run.c_g = run.c_b = fill
+    deferred = run.to_state()
+    psi = prepare_tree_state(plan)
+    rows = TreeState.from_arrays(
+        psi.layout, psi.actions, psi.node, np.full_like(psi.amp, fill), psi.dead
+    )
+    for state in (deferred, rows):
+        with pytest.raises(ZeroNormError):
+            measure_paths(state, 1, seed=0)
 
 
 def test_measure_uniform_frequencies(binary7):

@@ -18,9 +18,11 @@ from qtreesearch import (
     path_amplitude,
     prepare_tree_state,
 )
+from qtreesearch.amplitude_engine import AmplificationSchedule, MarkPredicate, amplify
 from qtreesearch.generators import needle_problem
-from qtreesearch.statevector import TreeState
-from qtreesearch.tree_prep import action_images, count_prefixes, transition_images
+from qtreesearch.search_drivers import uninformed_search
+from qtreesearch.statevector import TreeState, measure_paths
+from qtreesearch.tree_prep import DeferredRows, action_images, count_prefixes, transition_images
 from conftest import DEFAULT_DEPTHS, connected_problems, load_fixture
 
 
@@ -241,12 +243,47 @@ def test_level_memory_grows_with_children_not_alphabet():
     tracemalloc.start()
     try:
         psi = prepare_tree_state(plan)
+        amp = psi.amp  # the rows are deferred until read, so read them in the window
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(psi.entries) == 1024
+    assert len(amp) == 1024
     # a per-row flag for every action would take 1,024 x 4,097 bytes at the last level
     assert peak < 1 << 20
+
+
+def test_plain_search_builds_no_rows():
+    # 2**20 depth-20 paths: their rows would take tens of MB, the per-state passes a few kB
+    problem = needle_problem(20, 2)
+    tracemalloc.start()
+    try:
+        path, _ = uninformed_search(problem, 20, AmplificationSchedule())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path == tuple(i % 2 for i in range(20))
+    assert peak < 2 << 20
+
+
+def test_counts_norm_and_draws_of_a_prepared_tree_build_no_rows(binary7, monkeypatch):
+    plan = PreparationPlan.for_problem(binary7, 2)
+    psi = prepare_tree_state(plan)
+
+    def no_rows(self):
+        raise AssertionError("rows built")
+
+    monkeypatch.setattr(DeferredRows, "build", no_rows)
+    assert len(psi.entries) == count_prefixes(binary7, 2) == 4
+    assert psi.prefix_counts() == (4, 0)
+    assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    assert len(measure_paths(psi, 3, seed=0)) == 3
+    final, report = amplify(psi, plan, MarkPredicate.goal_at(2), AmplificationSchedule())
+    assert (report.n_paths, report.m_marked, report.oracle_queries) == (4, 1, 1)
+    ((path, node),) = measure_paths(final, 1, seed=0)
+    assert binary7.follow(path) == node in binary7.goals
+    monkeypatch.undo()
+    amp = psi.amp  # the first read builds the rows, once
+    assert psi.amp is amp and len(psi.node) == len(psi.dead) == len(psi.actions) == 4
 
 
 # -- unitarity proxy (dense mode) -------------------------------------------
@@ -320,5 +357,5 @@ def test_random_preparation_matches_dense_reference(problem, depth):
     # the rows come out in strictly increasing path order without a sort
     paths = [p for p, _ in psi.sorted_entries()]
     assert all(a < b for a, b in zip(paths, paths[1:]))
-    # the size guard's per-state count predicts the rows
-    assert count_prefixes(problem, depth) == len(psi.entries)
+    # the size guard's per-state count predicts the rows that were built
+    assert count_prefixes(problem, depth) == len(psi.amp) == len(psi.entries)
