@@ -7,9 +7,11 @@ exactly, whatever the amplitude profile. Non-constant branching only changes
 a, never the two-dimensional rotation.
 
 Cost is counted in phase-oracle applications, one per iterate: an O(1) update
-of two coefficients in that plane. On a prepared tree the two norms are its
-root's class masses and a draw walks down the tree by them, so a plain run
-builds no rows; the returned state carries the two coefficients. A state
+of two coefficients in that plane. Each exponential-search round restarts the
+same recurrence, so a round costs a table lookup: a run tabulates the
+coefficients once, only up to the largest k drawn (at most sqrt(N) + 1
+entries). On a prepared tree the two norms are its root's class masses and a
+draw walks down the tree by them, so a plain run builds no rows. A state
 held as rows (the pruning pipeline's) samples by bisecting the cumulative
 masses of its marked and unmarked rows instead. ``apply_oracle`` and
 ``reflect_about`` are the dense reference, which tests compare against.
@@ -212,6 +214,16 @@ class _RunArrays:
 
     def reset(self) -> None:
         self.c_g, self.c_b = 1.0, 1.0
+        self.table = [(1.0, 1.0)]  # (c_g, c_b) after j iterates from the start, at j
+
+    def restart(self, k: int) -> None:
+        """Set the coefficients to those after k iterates from the start, the
+        table extended by the recurrence only as far as the largest k asked."""
+        while len(self.table) <= k:
+            self.c_g, self.c_b = self.table[-1]
+            self.iterate(1)
+            self.table.append((self.c_g, self.c_b))
+        self.c_g, self.c_b = self.table[k]
 
     def marked_mass(self) -> float:
         return self.c_g * self.c_g * self.g2
@@ -340,8 +352,7 @@ def amplify(
         if queries + k > sched.max_oracle_queries:
             warnings.append("budget_exhausted")
             break
-        run.reset()
-        run.iterate(k)
+        run.restart(k)
         queries += k
         last_k = k
         path, node = run.sample(rng)

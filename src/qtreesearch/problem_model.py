@@ -127,9 +127,9 @@ class ProblemSpec:
     def walk(self, path: tuple[int, ...]) -> tuple[int, int]:
         """(state reached, actions taken) walking ``path`` from the root; the
         walk stops before the first action that is not admissible."""
-        s = self.root
+        s, get = self.root, self.transition.get
         for n, a in enumerate(path):
-            nxt = self.transition.get((s, a))
+            nxt = get((s, a))
             if nxt is None:
                 return s, n
             s = nxt

@@ -242,6 +242,8 @@ class _Entries(Mapping):
 
 def init_ground(layout: RegisterLayout, root: int, mode: str = "structured") -> TreeState:
     """All registers in the ground value: amplitude 1 on the empty prefix at the root."""
+    if mode not in ("structured", "dense"):
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0 <= root < (1 << layout.node_width):
         raise ValueError(f"root index {root} does not fit the node register")
     state = TreeState(layout, "structured", entries={(): Entry(1.0 + 0j, root, False)})

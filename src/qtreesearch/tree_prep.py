@@ -64,8 +64,8 @@ def count_prefixes(problem: ProblemSpec, depth: int) -> int:
     """Rows of the prepared depth-``depth`` state (live paths plus frozen dead
     ends), counted per reachable state level by level.
 
-    Counting stops at the first level where the count passes ``PREFIX_CAP``,
-    so a count above the cap is a lower bound.
+    Counting stops at the first level with no live prefix, or where the count
+    passes ``PREFIX_CAP``, so a count above the cap is a lower bound.
     """
     levels, dead = _count_levels(problem, depth)
     return dead + sum(levels[-1].values())
@@ -74,7 +74,8 @@ def count_prefixes(problem: ProblemSpec, depth: int) -> int:
 def _count_levels(problem: ProblemSpec, depth: int) -> tuple[list[dict[int, int]], int]:
     """The forward pass: ``levels[l]`` maps each state that live length-``l``
     prefixes end at to their exact number, and the int counts the prefixes
-    frozen at a dead end on the way. Stops early once the rows pass the cap."""
+    frozen at a dead end on the way. Stops early once the rows pass the cap, or
+    after the first empty level, so that ``levels[-1]`` still reads no live paths."""
     admissible, transition = problem.admissible, problem.transition
     levels, dead = [{problem.root: 1}], 0
     for _ in range(depth):
@@ -86,7 +87,7 @@ def _count_levels(problem: ProblemSpec, depth: int) -> tuple[list[dict[int, int]
                 t = transition[(s, a)]
                 nxt[t] = nxt.get(t, 0) + n
         levels.append(nxt)
-        if dead + sum(nxt.values()) > PREFIX_CAP:
+        if not nxt or dead + sum(nxt.values()) > PREFIX_CAP:
             break
     return levels, dead
 
@@ -297,7 +298,7 @@ class DeferredRows:
         the rest times ``c_b``: lay the rows' masses end to end in path order
         and, from the root, step over whole children until ``u`` times the
         total lies in one."""
-        children, g2, b2 = self.masses()
+        children, g2, b2 = self._masses or self.masses()
         wg, wb = c_g * c_g, c_b * c_b
         total = wg * g2 + wb * b2
         if not total > 0.0:  # zero or NaN
@@ -316,8 +317,8 @@ class DeferredRows:
                     target -= m
             if pick is None:  # a dead end, which is its own row
                 break
-            path.append(pick[0])
-            s, w = pick[1], w * f2
+            (a, s), w = pick, w * f2
+            path.append(a)
         return tuple(path), s
 
     def build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -340,7 +341,7 @@ def prepare_tree_state(plan: PreparationPlan, mode: str = "structured") -> TreeS
     rows are built the first time one is read.
     """
     problem = plan.problem
-    if mode != "dense":
+    if mode == "structured":
         plan.check_cap()  # a plan made without ``for_problem`` was never checked
         return TreeState.deferred_from(plan.layout, DeferredRows(plan))
     state = init_ground(plan.layout, problem.root, mode)

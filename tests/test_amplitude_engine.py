@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,24 +485,75 @@ def test_exponential_search_matches_dense_reference(case, seed):
     plan = PreparationPlan.for_problem(problem, depth)
     pred = MarkPredicate.goal_at(depth)
     rounds = []  # (k, state after the k iterates) of each round, as the engine runs it
-    iterate = _RunArrays.iterate
+    restart = _RunArrays.restart
 
     def spy(run, k):
-        iterate(run, k)
+        restart(run, k)
         rounds.append((k, run.to_state()))
 
-    _RunArrays.iterate = spy
+    _RunArrays.restart = spy
     try:
         sched = AmplificationSchedule(policy="exponential_search", seed=seed, max_oracle_queries=40)
         final, report = amplify(prepare_tree_state(plan), plan, pred, sched)
     finally:
-        _RunArrays.iterate = iterate
+        _RunArrays.restart = restart
     assert sum(k for k, _ in rounds) == report.iterations == report.oracle_queries
     axis = prepare_tree_state(plan, mode="dense")
     for k, state in rounds:
         assert max_deviation(state, dense_iterates(axis, axis, problem, pred, k)) <= 1e-12, k
     last = rounds[-1][0] if rounds else 0
     assert max_deviation(final, dense_iterates(axis, axis, problem, pred, last)) <= 1e-12
+
+
+@pytest.mark.parametrize("problem, depth", [(needle_problem(12, 2), 12), (grid_problem(6, 6), 10)])
+def test_coefficient_table_is_the_recurrence_bit_for_bit(problem, depth):
+    plan = PreparationPlan.for_problem(problem, depth)
+    psi, pred = prepare_tree_state(plan), MarkPredicate.goal_at(depth)
+    tabled, looped = _RunArrays(psi, problem, pred), _RunArrays(psi, problem, pred)
+    # the table grows out of order, as the drawn k do, and is read back below its end
+    for k in [0, 5, 3, 17, 2, *range(601)]:
+        tabled.restart(k)
+        looped.reset()
+        looped.iterate(k)
+        assert (tabled.c_g, tabled.c_b) == (looped.c_g, looped.c_b), k
+    assert len(tabled.table) == 601
+    tabled.reset()
+    assert len(tabled.table) == 1 and (tabled.c_g, tabled.c_b) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "seed, queries, samples, path",
+    [
+        (0, 28627, 1247, (0, 0, 0, 0, 2, 2, 0, 2, 2, 2)),
+        (1, 29151, 1240, (0, 2, 2, 0, 0, 2, 2, 0, 0, 2)),
+        (2, 29220, 1237, (0, 0, 2, 2, 0, 0, 2, 2, 2, 0)),
+    ],
+)
+def test_grid_exponential_search_stream_is_unchanged(seed, queries, samples, path):
+    # figures pinned from a recorded run: the seeded stream of k draws,
+    # samples and validations must not move when the round loop is reworked
+    sched = AmplificationSchedule(policy="exponential_search", seed=seed)
+    found, reports = iterative_deepening_search(grid_problem(6, 6), 10, sched)
+    assert sum(r.oracle_queries for r in reports) == queries
+    assert sum(r.samples_drawn for r in reports) == samples
+    assert found == path
+
+
+def test_explicit_iterations_keep_memory_flat(binary7):
+    plan = PreparationPlan.for_problem(binary7, 2)
+    psi = prepare_tree_state(plan)
+    peaks = []
+    for k in (10**3, 10**6):
+        sched = AmplificationSchedule(policy="explicit", iterations=k)
+        tracemalloc.start()
+        try:
+            _, report = amplify(psi, plan, MarkPredicate.goal_at(2), sched)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.oracle_queries == k
+    # explicit runs the recurrence once and tabulates nothing
+    assert peaks[1] < peaks[0] + 4096, peaks
 
 
 # -- the exponential-search draw against rng.choice ------------------------------

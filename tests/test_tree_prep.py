@@ -23,7 +23,7 @@ from qtreesearch.generators import needle_problem
 from qtreesearch.search_drivers import uninformed_search
 from qtreesearch.statevector import TreeState, measure_paths
 from qtreesearch.tree_prep import DeferredRows, action_images, count_prefixes, transition_images
-from conftest import DEFAULT_DEPTHS, connected_problems, load_fixture
+from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
 
 def test_uniform_split_at_root(binary7):
@@ -249,6 +249,34 @@ def test_level_memory_grows_with_children_not_alphabet():
         tracemalloc.stop()
     assert len(amp) == 1024
     # a per-row flag for every action would take 1,024 x 4,097 bytes at the last level
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("mode", ["dnese", "Dense", "", "rows"])
+def test_unknown_mode_is_refused(binary7, mode):
+    plan = PreparationPlan.for_problem(binary7, 2)
+    with pytest.raises(ValueError, match="unknown mode"):
+        prepare_tree_state(plan, mode=mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        init_ground(plan.layout, binary7.root, mode=mode)
+
+
+def test_dead_tree_depth_costs_its_own_depth():
+    # chain4 dies at depth 5, so depth 10**6 needs five levels and a trailing empty one
+    chain4 = load_fixture("chain4")
+    assert PreparationPlan.for_problem(chain4, 10**6).counts == ([{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}, {}], 1)
+    argv = ["prepare", str(fixture_path("chain4")), "--depth", "5", "--samples", "2"]
+    status, small = cli_invoke(argv)  # builds the parser and its caches outside the window
+    argv[3] = str(10**6)
+    tracemalloc.start()
+    try:
+        status, out = cli_invoke(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert out == small.replace("depth=5 ", f"depth={10**6} ").replace("width=8", f"width={10**6 + 3}")
+    assert "live_paths=0 dead_prefixes=1" in out
     assert peak < 1 << 20
 
 
