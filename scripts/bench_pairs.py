@@ -8,10 +8,13 @@ Each pair runs ``benchmark/run.py --workload W --seed S`` once in a checkout of
 the base and once in the working tree, alternating which side goes first, and
 the seed advances by one per pair. The base is a detached ``git worktree`` of
 HEAD, made in a temporary directory and removed at the end, or any checkout
-given with ``--base``. Only the JSON line that ``run.py`` prints last is read.
-For each end-to-end metric of BENCHMARK.json the script prints both sides'
-medians and quartiles, and how many pairs the working tree won; a tie is no
-win.
+given with ``--base``. The script reads the JSON line that ``run.py`` prints
+last, and the counted solves from the record it writes under
+``benchmark/results/``. For each end-to-end metric of BENCHMARK.json the
+script prints both sides' medians and quartiles, and how many pairs the
+working tree won; a tie is no win. It then prints each side's failures: the
+pooled ``failed/attempted`` of the timed runs, and ``counted_failed`` of the
+fixed counted solves per pair, which a faster build cannot move.
 """
 from __future__ import annotations
 
@@ -31,7 +34,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) ->
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    record = checkout / "benchmark" / "results" / f"{workload}-seed{seed}-trace0.json"
+    worker = json.loads(record.read_text())["worker"]
+    summary["counted"] = (worker["counted_failed"], worker["counted_solves"])
+    return summary
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -54,6 +61,7 @@ def pairs(base: Path, args) -> list[tuple[dict, dict]]:
             + "  ".join(
                 f"{name} solve_s_p50={got[name]['metrics']['solve_s_p50']['value']:.6g}"
                 f" failed={got[name]['failed']}/{got[name]['attempted']}"
+                f" counted_failed={got[name]['counted'][0]}/{got[name]['counted'][1]}"
                 for name in ("base", "change")
             ),
             flush=True,
@@ -71,6 +79,13 @@ def summarize(results: list[tuple[dict, dict]]) -> None:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         cols = ["/".join(f"{v:.4g}" for v in quartiles(side)) for side in (base, change)]
         print(f"{name:16s} {cols[0]:>36s} {cols[1]:>36s}  {wins}/{len(results)}")
+    for side, name in ((0, "base"), (1, "change")):
+        failed = sum(pair[side]["failed"] for pair in results)
+        attempted = sum(pair[side]["attempted"] for pair in results)
+        counted = " ".join(f"{pair[side]['counted'][0]}/{pair[side]['counted'][1]}" for pair in results)
+        print(f"{name:6s} failed/attempted {failed}/{attempted}  counted_failed per pair: {counted}")
+    same = all(b["counted"] == c["counted"] for b, c in results)
+    print(f"counted_failed equal in every pair: {'yes' if same else 'no'}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,10 +10,9 @@ Cost is counted in phase-oracle applications, one per iterate: an O(1) update
 of two coefficients in that plane. Each exponential-search round restarts the
 same recurrence, so a round costs a table lookup: a run tabulates the
 coefficients once, only up to the largest k drawn (at most sqrt(N) + 1
-entries). On a prepared tree the two norms are its root's class masses and a
-draw walks down the tree by them, so a plain run builds no rows. A state
-held as rows (the pruning pipeline's) samples by bisecting the cumulative
-masses of its marked and unmarked rows instead. ``apply_oracle`` and
+entries). ``amplify`` takes an unamplified prepared tree, plain or weighted by
+earlier pruning stages: the two norms are its root's class masses and a draw
+walks down the tree by them, so no run builds rows. ``apply_oracle`` and
 ``reflect_about`` are the dense reference, which tests compare against.
 """
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import MissingHeuristicError, ProblemSpec, enumerate_paths
-from .statevector import LayoutMismatchError, TreeState, ZeroNormError, scale_classes
+from .statevector import LayoutMismatchError, TreeState
 from .tree_prep import PreparationPlan
 
 GOAL = "goal"
@@ -168,48 +167,24 @@ def predicted_mass(a: float, k: int) -> float:
 
 
 class _RunArrays:
-    """A structured state under the iterate, held as c_g psi_good + c_b psi_bad.
+    """A prepared tree under the iterate, held as c_g psi_good + c_b psi_bad.
 
-    psi_good and psi_bad are the starting state on the marked rows and on the
-    rest, with norms g2 and b2; the iterate keeps their plane, so it updates
-    only the coefficients. A deferred state with unit weights (a prepared
-    tree) takes g2, b2 and its draws from its class masses and builds no rows;
-    any other state's draw bisects the classes' cumulative masses over its rows.
+    psi_good and psi_bad are the tree on its marked rows and on the rest, with
+    norms g2 and b2 taken from its class masses; the iterate keeps their plane,
+    so it updates only the coefficients, and a draw walks down the class
+    masses. No row is built.
     """
 
     def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
-        self.state, self.tree = state, None
-        tree = state.deferred
-        if tree is not None and tree.c_g == tree.c_b == 1.0:
-            # every live row holds exactly depth actions, so another context marks nothing
-            on_rows = predicate.depth_context == state.layout.depth
-            self.tree = tree = tree.marking(
-                (lambda s: predicate.holds_at(problem, s)) if on_rows else None
-            )
-            self.n_paths = tree.live if on_rows else 0
-            self.m_marked = tree.marked_paths()
-            _, self.g2, self.b2 = tree.masses()
-            self.reset()
-            return
-        self.axis = axis = state.amp
-        d, width = predicate.depth_context, state.actions.shape[1]
-        live = ~state.dead & (d <= width)  # d actions: column d-1 is set, column d is the pad
-        if 0 < d <= width:
-            live &= state.actions[:, d - 1] >= 0
-        if d < width:
-            live &= state.actions[:, d] < 0
-        rows = np.flatnonzero(live)
-        nodes = state.node[rows]
-        holds = np.zeros(problem.n_states, dtype=bool)  # the predicate on each node present
-        for s in np.flatnonzero(np.bincount(nodes, minlength=problem.n_states)).tolist():
-            holds[s] = predicate.holds_at(problem, s)
-        self.marked = rows[holds[nodes]]
-        self.n_paths = int(rows.size)
-        self.m_marked = int(self.marked.size)
-        unmarked = np.ones(axis.size, dtype=bool)
-        unmarked[self.marked] = False  # b2 is summed on its own rows, so it stays >= 0
-        self.g2, self.b2 = (float(np.vdot(v, v).real) for v in (axis[self.marked], axis[unmarked]))
-        self.cum = None  # (G, B): marked and unmarked |psi_j|^2 summed over rows j <= i
+        # every live row holds exactly depth actions, so another context marks nothing
+        on_rows = predicate.depth_context == state.deferred.plan.depth
+        self.layout = state.layout
+        self.tree = tree = state.deferred.marking(
+            (lambda s: predicate.holds_at(problem, s)) if on_rows else None
+        )
+        self.n_paths = tree.live if on_rows else 0
+        self.m_marked = tree.marked_paths()
+        _, self.g2, self.b2 = tree.masses()
         self.reset()
 
     def reset(self) -> None:
@@ -241,39 +216,11 @@ class _RunArrays:
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
         """Draw the row ``rng.choice(n, p=|amps|^2/sum)`` would, from the same
-        one double: down the tree's class masses, or by bisecting the rows'
-        cumulative masses in O(log n)."""
-        if self.tree is not None:
-            return self.tree.draw(rng.random(), self.c_g, self.c_b)
-        if self.cum is None:
-            w = np.abs(self.axis) ** 2
-            g = np.zeros_like(w)
-            g[self.marked] = w[self.marked]
-            w[self.marked] = 0.0
-            # a memoryview indexes to Python floats, which the loop below adds fastest
-            self.cum = memoryview(np.cumsum(g, out=g)), memoryview(np.cumsum(w, out=w))
-        cum_g, cum_b = self.cum
-        wg, wb = self.c_g * self.c_g, self.c_b * self.c_b
-        lo, hi = 0, len(cum_g) - 1
-        total = wg * cum_g[hi] + wb * cum_b[hi]
-        if not total > 0.0:  # zero or NaN, which choice rejects too
-            raise ZeroNormError("cannot sample from a zero-norm state")
-        target = rng.random() * total
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if wg * cum_g[mid] + wb * cum_b[mid] > target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.state.path(lo), int(self.state.node[lo])
+        one double, down the tree's class masses."""
+        return self.tree.draw(rng.random(), self.c_g, self.c_b)
 
     def to_state(self) -> TreeState:
-        s = self.state
-        if self.tree is not None:
-            return TreeState.deferred_from(s.layout, self.tree.weighted(self.c_g, self.c_b))
-        self.cum = None  # the rebuilt vector takes their room
-        amps = scale_classes(self.axis, self.marked, self.c_g, self.c_b)
-        return TreeState.from_arrays(s.layout, s.actions, s.node, amps, s.dead)
+        return TreeState.deferred_from(self.layout, self.tree.weighted(self.c_g, self.c_b))
 
 
 def amplify(
@@ -284,8 +231,9 @@ def amplify(
 ) -> tuple[TreeState, RunReport]:
     """Amplify the marked mass of ``x0`` per the schedule policy.
 
-    ``x0`` is taken to be the output of the preparation pipeline, in structured
-    mode; the iterate reflects about it. Policies:
+    ``x0`` is the unamplified prepared tree that the preparation pipeline
+    produced, weighted by any earlier pruning stages; the iterate reflects
+    about it. Anything else raises ``ValueError``. Policies:
 
     * fixed_optimal -- k = floor(pi/4theta) computed from the simulated marked
       mass (privileged access a physical device would not have).
@@ -296,8 +244,11 @@ def amplify(
     """
     if x0.layout != plan.layout:
         raise LayoutMismatchError("state layout does not match the plan")
-    if x0.mode != "structured":
-        raise ValueError("amplify takes a structured state; dense mode is a test reference")
+    tree = x0.deferred
+    if tree is None or not tree.c_g == tree.c_b == 1.0:
+        raise ValueError(
+            "amplify takes an unamplified prepared tree; rows and dense states are test references"
+        )
     if predicate.kind == HEURISTIC_THRESHOLD and plan.problem.heuristic is None:
         raise MissingHeuristicError("threshold predicate needs heuristic values")
     run = _RunArrays(x0, plan.problem, predicate)

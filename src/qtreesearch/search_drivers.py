@@ -26,8 +26,8 @@ from .problem_model import (
     branching_stats,
     classical_search,
 )
-from .statevector import _measure_with_rng, derive_seed, init_ground
-from .tree_prep import (
+from .statevector import _measure_with_rng, derive_seed
+from .tree_prep import (  # benchmark/tracing.py binds the two operators here
     PreparationPlan,
     apply_action_superposition,
     apply_transition,
@@ -150,45 +150,45 @@ def pruned_pipeline(plan: PipelinePlan, seed: int):
     """Run the staged pipeline and return (final state, report) before sampling.
 
     Each stage reflects about the state the pipeline has prepared at that
-    point, so the stage dynamics follow the closed form with a equal to the
-    current below-threshold mass. Stages whose threshold marks nothing are
-    skipped with a warning.
+    point, the tree of its level weighted by the earlier stages, so the stage
+    dynamics follow the closed form with a equal to the current
+    below-threshold mass. Stages whose threshold marks nothing are skipped
+    with a warning. The terminal search amplifies the full tree under every
+    stage's weights. No row is built.
     """
     problem = plan.problem
     if plan.stages and problem.heuristic is None:
         raise MissingHeuristicError("pruning stages need heuristic values")
     full_plan = PreparationPlan.for_problem(problem, plan.depth)
-    state = init_ground(full_plan.layout, problem.root)
-    stages = {stage.level: stage for stage in plan.stages}
+    tree = prepare_tree_state(full_plan).deferred
+    weights: tuple = ()  # (level, marks, c_g, c_b) of each stage that marked something
     stage_records: list[StageRecord] = []
-    for level in range(plan.depth):
-        stage = stages.get(level)
-        if stage is not None:
-            predicate = MarkPredicate.threshold_at(level, stage.threshold)
-            stage_plan = PreparationPlan(problem, level, full_plan.layout)
-            sub_sched = AmplificationSchedule(
-                policy="explicit", iterations=stage.iterations, seed=seed
+    for stage in plan.stages:
+        x0 = tree.staged(stage.level, weights)
+        predicate = MarkPredicate.threshold_at(stage.level, stage.threshold)
+        sub_sched = AmplificationSchedule(
+            policy="explicit", iterations=stage.iterations, seed=seed
+        )
+        amplified, sub = amplify(x0, x0.deferred.plan, predicate, sub_sched)
+        if sub.initial_probability == 0.0:  # marks nothing: keep the state, charge nothing
+            sub = replace(sub, iterations=0, oracle_queries=0, measured_probability=0.0)
+        else:
+            rows = amplified.deferred
+            weights += ((stage.level, rows.marks, rows.c_g, rows.c_b),)
+        stage_records.append(
+            StageRecord(
+                level=stage.level,
+                threshold=stage.threshold,
+                iterations=sub.iterations,
+                oracle_queries=sub.oracle_queries,
+                mass_before=sub.initial_probability,
+                mass_after=sub.measured_probability,
+                skipped=sub.initial_probability == 0.0,
             )
-            new_state, sub = amplify(state, stage_plan, predicate, sub_sched)
-            if sub.initial_probability == 0.0:  # marks nothing: keep the state, charge nothing
-                sub = replace(sub, iterations=0, oracle_queries=0, measured_probability=0.0)
-            else:
-                state = new_state
-            stage_records.append(
-                StageRecord(
-                    level=level,
-                    threshold=stage.threshold,
-                    iterations=sub.iterations,
-                    oracle_queries=sub.oracle_queries,
-                    mass_before=sub.initial_probability,
-                    mass_after=sub.measured_probability,
-                    skipped=sub.initial_probability == 0.0,
-                )
-            )
-        state = apply_action_superposition(state, problem, level)
-        state = apply_transition(state, problem, level)
+        )
     terminal_sched = replace(plan.terminal_schedule, seed=seed)
-    final, report = amplify(state, full_plan, plan.goal_predicate(), terminal_sched)
+    x0 = tree.staged(plan.depth, weights)
+    final, report = amplify(x0, full_plan, plan.goal_predicate(), terminal_sched)
     skip_warnings = tuple("stage_skipped_zero_mass" for r in stage_records if r.skipped)
     report = replace(
         report,

@@ -7,7 +7,9 @@ Two representations are kept deliberately:
   each prefix; configurations that are not admissible prefixes implicitly
   hold amplitude zero. A prepared tree is deferred: it answers its row
   counts, norm and draws from per-state counts and class masses, and
-  builds the arrays only when one is read.
+  builds the arrays only when one is read, for the state dump and the
+  tests. States given as rows are test references: sampling them with
+  ``rng.choice`` is what the deferred draw is held to.
 * dense -- the full 2**total_width complex vector, the test reference: it
   checks that the structured bookkeeping is faithful rather than assuming it,
   and inner products, the oracle and the reflection are defined on it alone.
@@ -206,16 +208,6 @@ class TreeState:
 
 
 _ROW_ARRAYS = frozenset(("actions", "node", "amp", "dead"))
-
-
-def scale_classes(amp: np.ndarray, marked, c_g: float, c_b: float) -> np.ndarray:
-    """``amp`` with the ``marked`` rows times ``c_g`` and the rest times ``c_b``;
-    ``amp`` itself when both are 1, since states never write their arrays."""
-    if c_g == c_b == 1.0:
-        return amp
-    out = amp * c_b
-    out[marked] = amp[marked] * c_g
-    return out
 
 
 class _Entries(Mapping):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .problem_model import ProblemSpec
-from .statevector import RegisterLayout, TreeState, ZeroNormError, init_ground, scale_classes
+from .statevector import RegisterLayout, TreeState, ZeroNormError, init_ground
 
 PREFIX_CAP = 1 << 24  # rows of a structured state; beyond that preparation is refused
 
@@ -58,17 +58,6 @@ class PreparationPlan:
                 f"the depth-{self.depth} tree of {self.problem.name!r}"
                 " has more than 2**24 path prefixes"
             )
-
-
-def count_prefixes(problem: ProblemSpec, depth: int) -> int:
-    """Rows of the prepared depth-``depth`` state (live paths plus frozen dead
-    ends), counted per reachable state level by level.
-
-    Counting stops at the first level with no live prefix, or where the count
-    passes ``PREFIX_CAP``, so a count above the cap is a lower bound.
-    """
-    levels, dead = _count_levels(problem, depth)
-    return dead + sum(levels[-1].values())
 
 
 def _count_levels(problem: ProblemSpec, depth: int) -> tuple[list[dict[int, int]], int]:
@@ -220,25 +209,43 @@ def _move(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
     return TreeState.from_arrays(state.layout, state.actions, node, state.amp, state.dead)
 
 
+def scale_classes(amp: np.ndarray, marked, c_g: float, c_b: float) -> np.ndarray:
+    """``amp`` with the ``marked`` rows times ``c_g`` and the rest times ``c_b``;
+    ``amp`` itself when both are 1, since states never write their arrays."""
+    if c_g == c_b == 1.0:
+        return amp
+    out = amp * c_b
+    out[marked] = amp[marked] * c_g
+    return out
+
+
 class DeferredRows:
     """The rows of a prepared structured state, held as their plan until read.
 
-    ``levels`` and ``dead`` are the plan's forward pass, ``plan.counts``. The
-    backward pass is made for ``marks``, a test on the node of a depth-d row
-    (None marks nothing). For each level l < d and each state s reached there
-    it lists the children of a prefix ending at s, in action order, as
+    ``levels`` and ``dead`` are the plan's forward pass, ``plan.counts``.
+    ``stages`` weight the rows by earlier amplifications, as (level, marks,
+    c_g, c_b): a prefix live at that level, a dead end there included, takes
+    c_g if ``marks`` holds at its state and c_b otherwise, and a prefix frozen
+    at an earlier level takes c_b. Every stage lies at a level with live
+    prefixes.
+
+    The backward pass is made for ``marks``, a test on the node of a depth-d
+    row (None marks nothing). For each level l < d and each state s reached
+    there it lists the children of a prefix ending at s, in action order, as
     (action, state, marked mass, unmarked mass): the |amplitude|^2 mass of the
-    rows below the child relative to the prefix's own, times the factor
-    (1/sqrt|A(s)|)^2 that the rows carry for the step. A prefix frozen at a
+    rows below the child relative to the prefix's own before any level-l
+    stage, times the step weight the rows carry for the step, (1/sqrt|A(s)|)^2
+    times the square of the level-l stage's factor at s. A prefix frozen at a
     dead end has no children and is one unmarked row. The state's amplitudes
-    are the preparation's with the marked rows times c_g and the rest times c_b.
+    are the weighted preparation's with the marked rows times c_g and the
+    rest times c_b.
     """
 
-    __slots__ = ("plan", "levels", "dead", "marks", "c_g", "c_b", "_masses")
+    __slots__ = ("plan", "levels", "dead", "stages", "marks", "c_g", "c_b", "_masses")
 
-    def __init__(self, plan: PreparationPlan, marks=None, c_g=1.0, c_b=1.0, masses=None):
-        self.plan, (self.levels, self.dead), self.marks = plan, plan.counts, marks
-        self.c_g, self.c_b, self._masses = c_g, c_b, masses
+    def __init__(self, plan: PreparationPlan, stages=(), marks=None, c_g=1.0, c_b=1.0, masses=None):
+        self.plan, (self.levels, self.dead), self.stages = plan, plan.counts, tuple(stages)
+        self.marks, self.c_g, self.c_b, self._masses = marks, c_g, c_b, masses
 
     @property
     def live(self) -> int:
@@ -248,40 +255,58 @@ class DeferredRows:
     def rows(self) -> int:
         return self.live + self.dead
 
+    def _marked_at(self, level: int, marks) -> list[int]:
+        return [s for s in self.levels[level] if marks is not None and marks(s)]
+
     def marked_states(self) -> list[int]:
         """The nodes of live depth-d rows that ``marks`` holds at."""
-        return [s for s in self.levels[-1] if self.marks is not None and self.marks(s)]
+        return self._marked_at(-1, self.marks)
 
     def marked_paths(self) -> int:
         return sum(self.levels[-1][s] for s in self.marked_states())
 
     def marking(self, marks) -> "DeferredRows":
         """The same rows, with the backward pass made for ``marks``."""
-        return DeferredRows(self.plan, marks)
+        return DeferredRows(self.plan, self.stages, marks)
 
     def weighted(self, c_g: float, c_b: float) -> "DeferredRows":
-        return DeferredRows(self.plan, self.marks, c_g, c_b, self.masses())
+        return DeferredRows(self.plan, self.stages, self.marks, c_g, c_b, self.masses())
+
+    def staged(self, depth: int, stages) -> TreeState:
+        """The unamplified tree of this tree's first ``depth`` levels, its rows
+        weighted by ``stages``, each at a level below ``depth``."""
+        plan = self.plan
+        if depth != plan.depth:
+            plan = PreparationPlan(plan.problem, depth, plan.layout)
+        return TreeState.deferred_from(plan.layout, DeferredRows(plan, stages))
 
     def masses(self) -> tuple[list[dict], float, float]:
         """(children per level, marked mass, unmarked mass) of the whole tree."""
         if self._masses is None:
             problem, marked = self.plan.problem, set(self.marked_states())
+            stages = {level: rest for level, *rest in self.stages}
             mass = {s: (1.0, 0.0) if s in marked else (0.0, 1.0) for s in self.levels[-1]}
+            frozen = 1.0  # a dead end's factor from the stages deeper than its level
             children = []
-            for level in reversed(self.levels[:-1]):
-                kids_at, up = {}, {}
-                for s in level:
+            for level in range(len(self.levels) - 2, -1, -1):
+                kids_at, up, on, wg, wb = {}, {}, (), 1.0, 1.0
+                if level in stages:
+                    marks, c_g, c_b = stages[level]
+                    on, wg, wb = set(self._marked_at(level, marks)), c_g * c_g, c_b * c_b
+                for s in self.levels[level]:
+                    w = wg if s in on else wb
                     acts = problem.admissible[s]
                     if not acts:  # a dead end: one unmarked row
-                        kids_at[s], up[s] = (1.0, []), (0.0, 1.0)
+                        kids_at[s], up[s] = (1.0, []), (0.0, w * frozen)
                         continue
                     f = 1 / math.sqrt(len(acts))
-                    f2, kids = f * f, []
+                    f2, kids = f * f * w, []
                     for a in acts:
                         t = problem.transition[(s, a)]
                         kids.append((a, t, f2 * mass[t][0], f2 * mass[t][1]))
                     kids_at[s] = (f2, kids)
                     up[s] = (sum(k[2] for k in kids), sum(k[3] for k in kids))
+                frozen *= wb
                 children.append(kids_at)
                 mass = up
             children.reverse()
@@ -322,12 +347,18 @@ class DeferredRows:
         return tuple(path), s
 
     def build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rows (actions, node, amp, dead), by the level loop of the operators."""
-        problem = self.plan.problem
+        """The rows (actions, node, amp, dead), by the level loop of the operators
+        with each stage's weights applied at its level. The loop stops after the
+        forward pass's last level, since every row is frozen from there on."""
+        problem, stages = self.plan.problem, {level: rest for level, *rest in self.stages}
         state = init_ground(self.plan.layout, problem.root)
         # every row built here holds a state of the problem and the right number
         # of admissible actions, so the operators' checks on outside input are skipped
-        for level in range(self.plan.depth):
+        for level in range(len(self.levels) - 1):
+            if level in stages:
+                marks, c_g, c_b = stages[level]
+                marked = ~state.dead & np.isin(state.node, self._marked_at(level, marks))
+                state.amp = scale_classes(state.amp, marked, c_g, c_b)
             state = _move(_extend(state, problem, level), problem, level)
         marked = ~state.dead & np.isin(state.node, self.marked_states())
         amp = scale_classes(state.amp, marked, self.c_g, self.c_b)

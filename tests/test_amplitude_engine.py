@@ -36,7 +36,8 @@ from qtreesearch import (
 )
 from qtreesearch.amplitude_engine import _RunArrays
 from qtreesearch.generators import grid_problem, needle_problem
-from qtreesearch.statevector import TreeState, dense_entries
+from qtreesearch.statevector import TreeState, _measure_with_rng, dense_entries
+from qtreesearch.tree_prep import scale_classes
 from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
 
@@ -457,25 +458,59 @@ def test_explicit_iterates_match_dense_reference(problem, depth, threshold):
     data=st.data(),
 )
 def test_pruned_pipeline_matches_dense_reference(problem, depth, data):
-    stage = PruningStage(
-        level=data.draw(st.integers(0, depth - 1)),
-        threshold=data.draw(st.sampled_from([0.0, 1.0, 2.0])),
-        iterations=data.draw(st.integers(0, 4)),
+    levels = data.draw(st.lists(st.integers(0, depth - 1), max_size=3, unique=True))
+    stages = tuple(
+        PruningStage(
+            level=level,
+            threshold=data.draw(st.sampled_from([0.0, 1.0, 2.0])),
+            iterations=data.draw(st.integers(0, 4)),
+        )
+        for level in sorted(levels)
     )
     k = data.draw(st.integers(0, 4))
     terminal = AmplificationSchedule(policy="explicit", iterations=k)
-    plan = PipelinePlan(problem, depth, (stage,), terminal)
-    final, _ = pruned_pipeline(plan, seed=0)
-    # the same pipeline on dense states; a stage that marks nothing leaves the state as it is
+    final, _ = pruned_pipeline(PipelinePlan(problem, depth, stages, terminal), seed=0)
+    assert max_deviation(final, dense_pipeline(problem, depth, stages, k)) <= 1e-12
+
+
+def dense_pipeline(problem, depth, stages, k):
+    """The pruning pipeline on dense states, with k terminal goal iterates; a
+    stage that marks nothing leaves the state as it is."""
     layout = PreparationPlan.for_problem(problem, depth).layout
     state = init_ground(layout, problem.root, mode="dense")
+    at = {stage.level: stage for stage in stages}
     for level in range(depth):
-        if level == stage.level:
-            pred = MarkPredicate.threshold_at(level, stage.threshold)
-            state = dense_iterates(state, state, problem, pred, stage.iterations)
+        if level in at:
+            pred = MarkPredicate.threshold_at(level, at[level].threshold)
+            state = dense_iterates(state, state, problem, pred, at[level].iterations)
         state = apply_transition(apply_action_superposition(state, problem, level), problem, level)
-    state = dense_iterates(state, state, problem, MarkPredicate.goal_at(depth), k)
-    assert max_deviation(final, state) <= 1e-12
+    return dense_iterates(state, state, problem, MarkPredicate.goal_at(depth), k)
+
+
+def test_pipeline_weights_dead_ends_under_every_stage():
+    # r -a-> x, a dead end at level 1 that the level-1 stage leaves unmarked;
+    # r -b-> m, which it marks; r -c-> y. The level-2 stage marks n alone, and
+    # x, frozen before it, takes its unmarked factor too.
+    problem = ProblemSpec(
+        name="frozen",
+        states=("r", "x", "m", "y", "n", "n2", "g"),
+        actions=("a", "b", "c"),
+        transition={(0, 0): 1, (0, 1): 2, (0, 2): 3, (2, 0): 4, (2, 1): 5, (3, 0): 6, (4, 0): 6},
+        root=0,
+        goals=frozenset({6}),
+        heuristic={0: 2.0, 1: 2.0, 2: 0.0, 3: 2.0, 4: 0.0, 5: 2.0, 6: 2.0},
+    ).validate()
+    stages = (PruningStage(1, 0.0, 1), PruningStage(2, 0.0, 1))
+    terminal = AmplificationSchedule(policy="explicit", iterations=1)
+    final, report = pruned_pipeline(PipelinePlan(problem, 3, stages, terminal), seed=0)
+    assert [r.mass_before for r in report.stages] == pytest.approx([1 / 3, 0.5 * 25 / 27])
+    assert not any(r.skipped for r in report.stages)
+    dense = dense_pipeline(problem, 3, stages, 1)
+    assert max_deviation(final, dense) <= 1e-12
+    # the norm and the terminal masses come from the weighted class masses alone
+    assert final.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    goal = MarkPredicate.goal_at(3)
+    assert report.measured_probability == pytest.approx(marked_mass(final, problem, goal), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -632,37 +667,41 @@ def test_deferred_state_agrees_with_its_rows(problem, depth, context, threshold,
     assert len(deferred.entries) == len(rows.amp)
     assert deferred.prefix_counts() == rows.prefix_counts()
     assert deferred.norm_sq() == pytest.approx(rows.norm_sq(), abs=1e-12)
-    runs = _RunArrays(deferred, problem, pred), _RunArrays(rows, problem, pred)
-    assert runs[0].tree is not None and runs[1].tree is None
-    assert (runs[0].n_paths, runs[0].m_marked) == (runs[1].n_paths, runs[1].m_marked)
-    assert runs[0].g2 == pytest.approx(runs[1].g2, abs=1e-12)
-    assert runs[0].b2 == pytest.approx(runs[1].b2, abs=1e-12)
+    # the row references: the live rows of the context length, and those the predicate marks
+    live = ~rows.dead & np.array([len(rows.path(i)) == context for i in range(len(rows.amp))])
+    holds = np.array([pred.holds_at(problem, node) for node in rows.node.tolist()], dtype=bool)
+    marked = live & holds
+    run = _RunArrays(deferred, problem, pred)
+    assert (run.n_paths, run.m_marked) == (int(live.sum()), int(marked.sum()))
+    g, b = rows.amp[marked], rows.amp[~marked]
+    assert run.g2 == pytest.approx(float(np.vdot(g, g).real), abs=1e-12)
+    assert run.b2 == pytest.approx(float(np.vdot(b, b).real), abs=1e-12)
     rng = np.random.default_rng(seed)
     for k in range(12):
-        for run in runs:
-            run.reset()
-            run.iterate(k)
-        assert runs[0].marked_mass() == pytest.approx(runs[1].marked_mass(), abs=1e-12)
+        run.reset()
+        run.iterate(k)
+        amp = scale_classes(rows.amp, marked, run.c_g, run.c_b)
+        built = TreeState.from_arrays(plan.layout, rows.actions, rows.node, amp, rows.dead)
+        g = amp[marked]
+        assert run.marked_mass() == pytest.approx(float(np.vdot(g, g).real), abs=1e-12)
         ref = copy.deepcopy(rng)
-        assert runs[0].sample(rng) == runs[1].sample(ref), k
+        assert [run.sample(rng)] == _measure_with_rng(built, 1, ref), k  # rng.choice
         assert rng.bit_generator.state == ref.bit_generator.state
-        weighted, built = (run.to_state() for run in runs)
+        weighted = run.to_state()
         assert weighted.norm_sq() == pytest.approx(built.norm_sq(), abs=1e-12)
         assert measure_paths(weighted, 3, seed + k) == measure_paths(built, 3, seed + k), k
-        # given the same coefficients, reading the rows applies them as the row path does
-        runs[1].c_g, runs[1].c_b = runs[0].c_g, runs[0].c_b
-        assert np.array_equal(weighted.amp, runs[1].to_state().amp)
+        # reading the rows applies the coefficients as scale_classes does on the rows
+        assert np.array_equal(weighted.amp, amp)
 
 
 @pytest.mark.parametrize("fill", [0.0, math.nan])
 def test_exponential_search_on_zero_norm_state_raises(binary7, fill):
+    # every row weighted by zero or NaN: the tree's own draw refuses it
     plan = PreparationPlan.for_problem(binary7, 2)
-    psi = prepare_tree_state(plan)
-    amp = np.full_like(psi.amp, fill)
-    state = TreeState.from_arrays(psi.layout, psi.actions, psi.node, amp, psi.dead)
+    psi = prepare_tree_state(plan).deferred.staged(2, [(0, None, fill, fill)])
     sched = AmplificationSchedule(policy="exponential_search")
     with pytest.raises(ZeroNormError):
-        amplify(state, plan, MarkPredicate.goal_at(2), sched)
+        amplify(psi, plan, MarkPredicate.goal_at(2), sched)
 
 
 @settings(max_examples=50, deadline=None)
@@ -729,10 +768,15 @@ def test_cli_searches_marked_mass_above_one(tmp_path):
 
 
 def test_amplify_rejects_dense_state(binary7):
+    # amplify takes one input, an unamplified prepared tree
     plan = PreparationPlan.for_problem(binary7, 2)
+    psi, pred = prepare_tree_state(plan), MarkPredicate.goal_at(2)
     dense = prepare_tree_state(plan, mode="dense")
-    with pytest.raises(ValueError):
-        amplify(dense, plan, MarkPredicate.goal_at(2), AmplificationSchedule())
+    rows = TreeState.from_arrays(plan.layout, psi.actions, psi.node, psi.amp, psi.dead)
+    amplified, _ = amplify(psi, plan, pred, AmplificationSchedule())
+    for state in (dense, rows, amplified):
+        with pytest.raises(ValueError, match="unamplified prepared tree"):
+            amplify(state, plan, pred, AmplificationSchedule())
 
 
 def test_certain_state_samples_only_goals(binary7):

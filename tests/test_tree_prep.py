@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,10 +20,10 @@ from qtreesearch import (
     prepare_tree_state,
 )
 from qtreesearch.amplitude_engine import AmplificationSchedule, MarkPredicate, amplify
-from qtreesearch.generators import needle_problem
-from qtreesearch.search_drivers import uninformed_search
+from qtreesearch.generators import grid_problem, needle_problem
+from qtreesearch.search_drivers import PipelinePlan, PruningStage, pruned_search, uninformed_search
 from qtreesearch.statevector import TreeState, measure_paths
-from qtreesearch.tree_prep import DeferredRows, action_images, count_prefixes, transition_images
+from qtreesearch.tree_prep import DeferredRows, action_images, transition_images
 from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
 
@@ -280,17 +281,36 @@ def test_dead_tree_depth_costs_its_own_depth():
     assert peak < 1 << 20
 
 
+def test_dead_tree_state_dump_stops_at_its_last_level():
+    # chain4 dies at depth 5: the dump builds five levels, not one per --depth
+    argv = ["prepare", str(fixture_path("chain4")), "--depth", "5", "--state-dump"]
+    status, small = cli_invoke(argv)
+    argv[3] = str(10**5)
+    start = time.perf_counter()
+    status, out = cli_invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    assert status == 0 and out == small and out.count("path=") == 1
+
+
 def test_plain_search_builds_no_rows():
-    # 2**20 depth-20 paths: their rows would take tens of MB, the per-state passes a few kB
-    problem = needle_problem(20, 2)
-    tracemalloc.start()
-    try:
-        path, _ = uninformed_search(problem, 20, AmplificationSchedule())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path == tuple(i % 2 for i in range(20))
-    assert peak < 2 << 20
+    # 2**20 depth-20 needle paths, and 6x6 grid paths at d=12 under a pruning stage:
+    # their rows would take tens of MB, the per-state passes a few kB
+    grid = grid_problem(6, 6)
+    pruned = PipelinePlan(grid, 12, (PruningStage(6, 6.0, 1),), AmplificationSchedule())
+    runs = [
+        (lambda: uninformed_search(needle_problem(20, 2), 20, AmplificationSchedule()),
+         tuple(i % 2 for i in range(20))),
+        (lambda: pruned_search(pruned, seed=0), (2, 0, 0, 0, 0, 2, 2, 2, 2, 0, 1, 0)),
+    ]
+    for search, expected in runs:
+        tracemalloc.start()
+        try:
+            path, _ = search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path == expected
+        assert peak < 2 << 20, expected
 
 
 def test_counts_norm_and_draws_of_a_prepared_tree_build_no_rows(binary7, monkeypatch):
@@ -301,7 +321,7 @@ def test_counts_norm_and_draws_of_a_prepared_tree_build_no_rows(binary7, monkeyp
         raise AssertionError("rows built")
 
     monkeypatch.setattr(DeferredRows, "build", no_rows)
-    assert len(psi.entries) == count_prefixes(binary7, 2) == 4
+    assert len(psi.entries) == 4
     assert psi.prefix_counts() == (4, 0)
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
     assert len(measure_paths(psi, 3, seed=0)) == 3
@@ -386,4 +406,4 @@ def test_random_preparation_matches_dense_reference(problem, depth):
     paths = [p for p, _ in psi.sorted_entries()]
     assert all(a < b for a, b in zip(paths, paths[1:]))
     # the size guard's per-state count predicts the rows that were built
-    assert count_prefixes(problem, depth) == len(psi.amp) == len(psi.entries)
+    assert len(psi.entries) == len(psi.amp)
