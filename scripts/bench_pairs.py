@@ -12,7 +12,9 @@ given with ``--base``. The script reads the JSON line that ``run.py`` prints
 last, and the counted solves from the record it writes under
 ``benchmark/results/``. For each end-to-end metric of BENCHMARK.json the
 script prints both sides' medians and quartiles, and how many pairs the
-working tree won; a tie is no win. It then prints each side's failures: the
+working tree won; a tie is no win. Each pair's line also gives both sides'
+``peak_rss_mb`` next to their solve count, since the peak grows with the
+solves a run gets through. It then prints each side's failures: the
 pooled ``failed/attempted`` of the timed runs, and ``counted_failed`` of the
 fixed counted solves per pair, which a faster build cannot move.
 """
@@ -60,7 +62,8 @@ def pairs(base: Path, args) -> list[tuple[dict, dict]]:
             f"pair {i + 1} seed {seed}: "
             + "  ".join(
                 f"{name} solve_s_p50={got[name]['metrics']['solve_s_p50']['value']:.6g}"
-                f" failed={got[name]['failed']}/{got[name]['attempted']}"
+                f" peak_rss_mb={got[name]['metrics']['peak_rss_mb']['value']:.4g}"
+                f" solves={got[name]['attempted']} failed={got[name]['failed']}"
                 f" counted_failed={got[name]['counted'][0]}/{got[name]['counted'][1]}"
                 for name in ("base", "change")
             ),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -93,7 +92,7 @@ class ProblemSpec:
         per_state: list[list[int]] = [[] for _ in self.states]
         for s, a in sorted(self.transition):
             per_state[s].append(a)
-        return tuple(tuple(acts) for acts in per_state)
+        return tuple([tuple(acts) for acts in per_state])
 
     @cached_property
     def arrays(self) -> ProblemArrays:
@@ -122,7 +121,8 @@ class ProblemSpec:
 
     def successors(self, state: int) -> tuple[tuple[int, int], ...]:
         """(action, next state) pairs in action-index order."""
-        return tuple((a, self.transition[(state, a)]) for a in self.admissible[state])
+        # from a list: tuple(generator) resizes, and resized tuples pile up in the tuple free lists
+        return tuple([(a, self.transition[(state, a)]) for a in self.admissible[state]])
 
     def walk(self, path: tuple[int, ...]) -> tuple[int, int]:
         """(state reached, actions taken) walking ``path`` from the root; the
@@ -183,6 +183,7 @@ class BranchingStats:
     depth: int
     nodes_generated: int
     internal_nodes: int
+    paths: int  # live paths of exact length ``depth``
 
 
 @dataclass(frozen=True)
@@ -373,58 +374,75 @@ def classical_search(
     """Classical baseline search; returns (action path | None, nodes expanded).
 
     A node counts as expanded when it is popped from the frontier; the goal
-    test happens at that moment, so a root goal costs one expansion.
+    test happens at that moment, so a root goal costs one expansion, and a
+    search stops at its first goal or after ``max_expansions`` pops (but pops
+    the root). Greedy pops node by node; the others read per-state tables.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    if strategy == "bfs":
-        return _bfs(problem, limits)
+    if strategy == "greedy_best_first":
+        return _greedy(problem, limits)
+    below, within, hit, near = _subtree_tables(problem, max(limits.max_depth, 0))
+    root, cap = problem.root, limits.max_expansions
+    if strategy == "bfs":  # every level above the first goal's, then that level in path order
+        g = next((r for r, found in enumerate(hit) if root in found), None)
+        if g is None:
+            return _capped(None, sum(level[root] for level in below), cap)
+        path, passed = _walk_to_goal(problem, hit, below, g)
+        return _capped(path, sum(level[root] for level in below[:g]) + passed + 1, cap)
     if strategy == "dfs_depth_limited":
-        return _dls(problem, limits.max_depth, limits.max_expansions)
-    if strategy == "iddfs":
-        total = 0
-        for limit in range(limits.max_depth + 1):
-            remaining = None if limits.max_expansions is None else limits.max_expansions - total
-            if remaining is not None and remaining <= 0:
+        return _capped(*_dls(problem, within, near, len(below) - 1), cap)
+    path, total = None, 0  # the depth-limited searches, end to end
+    for limit in range(limits.max_depth + 1):
+        path, expanded = _dls(problem, within, near, limit)
+        total += expanded
+        if path is not None:
+            break
+    return (None, 0) if cap is not None and cap <= 0 else _capped(path, total, cap)
+
+
+def _subtree_tables(problem: ProblemSpec, depth: int):
+    """For r = 0..depth and each state s: ``below[r][s]`` nodes exactly r levels under
+    s, ``within[r][s]`` nodes within r levels of s (s included), and the sets ``hit[r]``
+    of states with a goal exactly r levels under them and ``near[r]`` within r levels."""
+    kids = [[problem.transition[(s, a)] for a in acts] for s, acts in enumerate(problem.admissible)]
+    below, within, hit, near = [[1] * len(kids)], [[1] * len(kids)], [problem.goals], [problem.goals]
+    for _ in range(depth):
+        b, h, n = below[-1], hit[-1], near[-1]
+        below.append([sum(b[t] for t in ts) for ts in kids])
+        within.append([w + x for w, x in zip(within[-1], below[-1])])
+        hit.append({s for s, ts in enumerate(kids) if any(t in h for t in ts)})
+        near.append(n | {s for s, ts in enumerate(kids) if any(t in n for t in ts)})
+    return below, within, hit, near
+
+
+def _walk_to_goal(problem: ProblemSpec, found, size, r: int) -> tuple[tuple[int, ...], int]:
+    """The path down the first child in ``found`` from the root, r levels above
+    a goal, to that goal, and ``size`` summed over the siblings it passes."""
+    path, s, passed = [], problem.root, 0
+    while s not in problem.goals:
+        for a in problem.admissible[s]:
+            t = problem.transition[(s, a)]
+            if t in found[r - 1]:
                 break
-            path, expanded = _dls(problem, limit, remaining)
-            total += expanded
-            if path is not None:
-                return path, total
-        return None, total
-    return _greedy(problem, limits)
+            passed += size[r - 1][t]
+        path.append(a)
+        s, r = t, r - 1
+    return tuple(path), passed
 
 
-def _bfs(problem: ProblemSpec, limits: SearchLimits):
-    frontier: deque[tuple[int, tuple[int, ...]]] = deque([(problem.root, ())])
-    expanded = 0
-    while frontier:
-        state, path = frontier.popleft()
-        expanded += 1
-        if state in problem.goals:
-            return path, expanded
-        if limits.max_expansions is not None and expanded >= limits.max_expansions:
-            return None, expanded
-        if len(path) < limits.max_depth:
-            for a, nxt in problem.successors(state):
-                frontier.append((nxt, path + (a,)))
-    return None, expanded
+def _dls(problem: ProblemSpec, within, near, limit: int):
+    """The nodes within ``limit`` levels in preorder, up to the first goal."""
+    if problem.root not in near[limit]:
+        return None, within[limit][problem.root]
+    path, passed = _walk_to_goal(problem, near, within, limit)
+    return path, passed + len(path) + 1
 
 
-def _dls(problem: ProblemSpec, limit: int, max_expansions: int | None):
-    stack: list[tuple[int, tuple[int, ...]]] = [(problem.root, ())]
-    expanded = 0
-    while stack:
-        state, path = stack.pop()
-        expanded += 1
-        if state in problem.goals:
-            return path, expanded
-        if max_expansions is not None and expanded >= max_expansions:
-            return None, expanded
-        if len(path) < limit:
-            for a, nxt in reversed(problem.successors(state)):
-                stack.append((nxt, path + (a,)))
-    return None, expanded
+def _capped(path, expanded: int, cap: int | None):
+    """The result of a search that also stops after ``cap`` pops, the root's always."""
+    cap = expanded if cap is None else max(cap, 1)
+    return (path, expanded) if expanded <= cap else (None, cap)
 
 
 def _greedy(problem: ProblemSpec, limits: SearchLimits):
@@ -448,6 +466,29 @@ def _greedy(problem: ProblemSpec, limits: SearchLimits):
     return None, expanded
 
 
+def count_levels(
+    problem: ProblemSpec, depth: int, cap: int | None = None
+) -> tuple[list[dict[int, int]], int]:
+    """The forward pass: ``levels[l]`` maps each state that live length-``l``
+    prefixes end at to their exact number, and the int counts the prefixes
+    frozen at a dead end on the way. Stops after the first empty level, so that
+    ``levels[-1]`` still reads no live paths, or once the rows pass ``cap``."""
+    admissible, transition = problem.admissible, problem.transition
+    levels, dead = [{problem.root: 1}], 0
+    for _ in range(depth):
+        nxt: dict[int, int] = {}
+        for s, n in levels[-1].items():
+            if not admissible[s]:
+                dead += n
+            for a in admissible[s]:
+                t = transition[(s, a)]
+                nxt[t] = nxt.get(t, 0) + n
+        levels.append(nxt)
+        if not nxt or cap is not None and dead + sum(nxt.values()) > cap:
+            break
+    return levels, dead
+
+
 def branching_stats(problem: ProblemSpec, depth: int) -> BranchingStats:
     """Maximum / average / effective branching factor of the depth-``depth`` expansion.
 
@@ -459,31 +500,16 @@ def branching_stats(problem: ProblemSpec, depth: int) -> BranchingStats:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    level = [problem.root]
-    b_max = 0
-    generated = 0
-    internal = 0
-    for _ in range(depth):
-        nxt: list[int] = []
-        for s in level:
-            width = len(problem.admissible[s])
-            b_max = max(b_max, width)
-            internal += 1
-            generated += width
-            nxt.extend(problem.transition[(s, a)] for a in problem.admissible[s])
-        level = nxt
-    for s in level:  # depth-d frontier states still count toward b_max
-        b_max = max(b_max, len(problem.admissible[s]))
+    levels, _ = count_levels(problem, depth)
+    width = [len(acts) for acts in problem.admissible]
+    internal = sum(n for level in levels[:depth] for n in level.values())
+    generated = sum(n * width[s] for level in levels[:depth] for s, n in level.items())
     if generated == 0:
         raise UndefinedStatsError("expansion generated no nodes; branching statistics undefined")
-    b_avg = generated / internal
+    b_max = max(width[s] for level in levels for s in level)  # depth-d states count too
     return BranchingStats(
-        b_max=b_max,
-        b_avg=b_avg,
-        b_eff=_effective_branching(generated, depth, b_max),
-        depth=depth,
-        nodes_generated=generated,
-        internal_nodes=internal,
+        b_max=b_max, b_avg=generated / internal, b_eff=_effective_branching(generated, depth, b_max),
+        depth=depth, nodes_generated=generated, internal_nodes=internal, paths=sum(levels[-1].values()),
     )
 
 

@@ -297,14 +297,7 @@ def compare_strategies(
         classical.append("greedy_best_first")
     for strategy in classical:
         path, expanded = classical_search(problem, strategy, limits)
-        rows.append(
-            StrategyRow(
-                name=strategy,
-                metric="expansions",
-                cost=float(expanded),
-                success_rate=1.0 if path is not None else 0.0,
-            )
-        )
+        rows.append(StrategyRow(strategy, "expansions", float(expanded), float(path is not None)))
     for policy in ("fixed_optimal", "exponential_search"):
         total_queries = 0
         successes = 0

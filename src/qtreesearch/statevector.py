@@ -202,6 +202,7 @@ class TreeState:
         index = self.node.astype(np.int64)
         for column in self.actions.T:  # a short prefix keeps the ground value 0
             index = (index << self.layout.action_width) | np.maximum(column, 0)
+        index <<= (self.layout.depth - self.actions.shape[1]) * self.layout.action_width
         vec = np.zeros(1 << self.layout.total_width, dtype=np.complex128)
         vec[index] = self.amp
         return TreeState(self.layout, "dense", vector=vec)

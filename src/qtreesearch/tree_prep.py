@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem_model import ProblemSpec
+from .problem_model import ProblemSpec, count_levels
 from .statevector import RegisterLayout, TreeState, ZeroNormError, init_ground
 
 PREFIX_CAP = 1 << 24  # rows of a structured state; beyond that preparation is refused
@@ -48,8 +48,8 @@ class PreparationPlan:
 
     @cached_property
     def counts(self) -> tuple[list[dict[int, int]], int]:
-        """The forward pass of ``_count_levels``, made once per plan."""
-        return _count_levels(self.problem, self.depth)
+        """The forward pass of ``count_levels`` up to ``PREFIX_CAP`` rows, made once per plan."""
+        return count_levels(self.problem, self.depth, PREFIX_CAP)
 
     def check_cap(self) -> None:
         levels, dead = self.counts
@@ -58,27 +58,6 @@ class PreparationPlan:
                 f"the depth-{self.depth} tree of {self.problem.name!r}"
                 " has more than 2**24 path prefixes"
             )
-
-
-def _count_levels(problem: ProblemSpec, depth: int) -> tuple[list[dict[int, int]], int]:
-    """The forward pass: ``levels[l]`` maps each state that live length-``l``
-    prefixes end at to their exact number, and the int counts the prefixes
-    frozen at a dead end on the way. Stops early once the rows pass the cap, or
-    after the first empty level, so that ``levels[-1]`` still reads no live paths."""
-    admissible, transition = problem.admissible, problem.transition
-    levels, dead = [{problem.root: 1}], 0
-    for _ in range(depth):
-        nxt: dict[int, int] = {}
-        for s, n in levels[-1].items():
-            if not admissible[s]:
-                dead += n
-            for a in admissible[s]:
-                t = transition[(s, a)]
-                nxt[t] = nxt.get(t, 0) + n
-        levels.append(nxt)
-        if not nxt or dead + sum(nxt.values()) > PREFIX_CAP:
-            break
-    return levels, dead
 
 
 def action_images(
@@ -349,12 +328,14 @@ class DeferredRows:
     def build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The rows (actions, node, amp, dead), by the level loop of the operators
         with each stage's weights applied at its level. The loop stops after the
-        forward pass's last level, since every row is frozen from there on."""
+        forward pass's last level, since every row is frozen from there on, and
+        ``actions`` is only as wide as the levels it ran."""
         problem, stages = self.plan.problem, {level: rest for level, *rest in self.stages}
-        state = init_ground(self.plan.layout, problem.root)
+        layout, width = self.plan.layout, len(self.levels) - 1  # no row holds more actions
+        state = init_ground(RegisterLayout(layout.node_width, layout.action_width, width), problem.root)
         # every row built here holds a state of the problem and the right number
         # of admissible actions, so the operators' checks on outside input are skipped
-        for level in range(len(self.levels) - 1):
+        for level in range(width):
             if level in stages:
                 marks, c_g, c_b = stages[level]
                 marked = ~state.dead & np.isin(state.node, self._marked_at(level, marks))
