@@ -20,7 +20,6 @@ from .statevector import (
     RegisterLayout,
     ZeroNormError,
     init_ground,
-    inner_product,
     measure_paths,
 )
 from .tree_prep import (
@@ -35,10 +34,8 @@ from .amplitude_engine import (
     AmplificationSchedule,
     MarkPredicate,
     amplify,
-    apply_oracle,
     optimal_iterations,
     predicted_mass,
-    reflect_about,
 )
 from .search_drivers import (
     PipelinePlan,

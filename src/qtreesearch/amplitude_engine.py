@@ -12,8 +12,8 @@ same recurrence, so a round costs a table lookup: a run tabulates the
 coefficients once, only up to the largest k drawn (at most sqrt(N) + 1
 entries). ``amplify`` takes an unamplified prepared tree, plain or weighted by
 earlier pruning stages: the two norms are its root's class masses and a draw
-walks down the tree by them, so no run builds rows. ``apply_oracle`` and
-``reflect_about`` are the dense reference, which tests compare against.
+walks down the tree by them, so no run builds rows. The dense oracle and
+reflection that the tests compare against are in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem_model import MissingHeuristicError, ProblemSpec, enumerate_paths
+from .problem_model import MissingHeuristicError, ProblemSpec
 from .statevector import LayoutMismatchError, TreeState
 from .tree_prep import PreparationPlan
 
@@ -126,24 +126,6 @@ class RunReport:
     node_width: int
     samples: tuple[tuple[tuple[int, ...], int], ...] = ()
     stages: tuple[StageRecord, ...] = ()
-
-
-def apply_oracle(state: TreeState, problem: ProblemSpec, predicate: MarkPredicate) -> TreeState:
-    """Dense reference oracle: flip the sign of every marked configuration."""
-    vec = state.to_dense().vector.copy()
-    for path, terminal, _ in enumerate_paths(problem, predicate.depth_context):
-        if predicate.marks(problem, path, terminal, False):
-            idx = state.layout.index_of(terminal, path)
-            vec[idx] = -vec[idx]
-    return TreeState(state.layout, "dense", vector=vec)
-
-
-def reflect_about(state: TreeState, axis: TreeState) -> TreeState:
-    """Dense reference reflection (2|axis><axis| - I) |state>; the layouts must match."""
-    if state.layout != axis.layout:
-        raise LayoutMismatchError("reflection axis has a different register layout")
-    sv, av = state.to_dense().vector, axis.to_dense().vector
-    return TreeState(state.layout, "dense", vector=2 * np.vdot(av, sv) * av - sv)
 
 
 def optimal_iterations(a: float) -> int:

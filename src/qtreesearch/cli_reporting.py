@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterator
+
+import numpy as np
 
 from .amplitude_engine import AmplificationSchedule, MarkPredicate, RunReport
 from .problem_model import (
@@ -32,12 +35,13 @@ from .search_drivers import (
     pruned_search,
     uninformed_search,
 )
-from .statevector import TreeState, dense_entries, measure_paths
+from .statevector import TreeState, measure_paths
 from .tree_prep import PreparationPlan, prepare_tree_state
 
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
 EXIT_INPUT_ERROR = 2
+_SAMPLE_CHUNK = 1024  # prepare --samples draws and prints this many at a time
 
 
 def _fmt(x) -> str:
@@ -112,13 +116,13 @@ def _emit_run(
     print("\n".join(lines), file=out)
 
 
-def state_dump_lines(state: TreeState, problem: ProblemSpec | None = None) -> list[str]:
-    """Golden-test dump: one record per nonzero amplitude, sorted by path."""
-    return [
+def state_dump_lines(state: TreeState) -> Iterator[str]:
+    """Golden-test dump: one record per nonzero amplitude, in path order, one at a time."""
+    return (
         _record(path=_path_str(path), node=e.node, re=e.amp.real, im=e.amp.imag)
-        for path, e in dense_entries(state, problem)
+        for path, e in state.sorted_entries()
         if e.amp != 0
-    ]
+    )
 
 
 def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
@@ -138,9 +142,11 @@ def _cmd_prepare(args: argparse.Namespace, problem: ProblemSpec, out) -> int:
     head = _record(depth=args.depth, live_paths=live, dead_prefixes=dead,
                    norm=state.norm_sq(), total_width=plan.layout.total_width)
     print(("command=prepare " if records else "[prepare] ") + head, file=out)
-    for path, node in measure_paths(state, samples, args.seed):
-        sample = _record(path=_path_str(path), node=problem.states[node])
-        print(("command=prepare " if records else "  sample ") + sample, file=out)
+    rng = np.random.default_rng(args.seed)
+    for start in range(0, samples, _SAMPLE_CHUNK):  # one generator: the draws of one call
+        for path, node in measure_paths(state, min(_SAMPLE_CHUNK, samples - start), rng):
+            sample = _record(path=_path_str(path), node=problem.states[node])
+            print(("command=prepare " if records else "  sample ") + sample, file=out)
     return EXIT_OK
 
 

@@ -88,7 +88,7 @@ def _finalize(
     rng = np.random.default_rng(derive_seed(sched.seed, 0xFEED))
     samples = list(report.samples)
     for _ in range(_VALIDATION_ATTEMPTS):
-        (path, node), = _measure_with_rng(state, 1, rng, problem)
+        (path, node), = _measure_with_rng(state, 1, rng)
         samples.append((path, node))
         if predicate.holds_classically(problem, path):
             return path, replace(

@@ -6,6 +6,11 @@ the current node, and a transition step that rewrites the node register.
 After d rounds every admissible depth-d path carries the amplitude
 prod_i 1/sqrt(|A_{s_i}|); a prefix whose node has no admissible actions keeps
 its amplitude frozen at the level where it died and is never extended.
+
+``prepare_tree_state`` runs no operator: it returns the tree as per-state
+counts and class masses over the reachable (level, state) pairs
+(``DeferredRows``), and lists its rows by walking those. The operators act
+on rows, which the tests hold the walk to.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .problem_model import ProblemSpec, count_levels
-from .statevector import RegisterLayout, TreeState, ZeroNormError, init_ground
+from .statevector import Entry, RegisterLayout, TreeState, ZeroNormError
 
 PREFIX_CAP = 1 << 24  # rows of a structured state; beyond that preparation is refused
 
@@ -60,49 +65,6 @@ class PreparationPlan:
             )
 
 
-def action_images(
-    problem: ProblemSpec, layout: RegisterLayout, level: int, index: int
-) -> list[tuple[int, float]]:
-    """Images of one basis configuration under the level-``level`` action step.
-
-    Defined on configurations whose level register is in the ground value.
-    A node without admissible actions maps to itself (frozen); otherwise the
-    level register receives the uniform superposition over admissible actions.
-    """
-    node, actions = layout.decode(index)
-    if actions[level] != 0:
-        raise OperatorMisuseError(
-            f"level-{level} action register not in the ground state"
-        )
-    acts = problem.admissible[node] if node < problem.n_states else ()
-    if not acts:
-        return [(index, 1.0)]
-    shift = (layout.depth - 1 - level) * layout.action_width
-    coef = 1.0 / math.sqrt(len(acts))
-    return [(index | (a << shift), coef) for a in acts]
-
-
-def transition_images(
-    problem: ProblemSpec, layout: RegisterLayout, level: int, index: int
-) -> int:
-    """Image of one basis configuration under the level-``level`` transition step.
-
-    Frozen dead-end configurations (no admissible actions, ground action
-    value) are fixed points; a populated action with no defined transition
-    signals a corrupted state.
-    """
-    node, actions = layout.decode(index)
-    a = actions[level]
-    target = problem.transition.get((node, a))
-    if target is None:
-        if a == 0 and (node >= problem.n_states or not problem.admissible[node]):
-            return index
-        raise CorruptedStateError(
-            f"no transition for (state {node}, action {a}) at level {level}"
-        )
-    return index + ((target - node) << (layout.depth * layout.action_width))
-
-
 def _check_rows(state: TreeState, problem: ProblemSpec, length: int, doing: str) -> None:
     """Every node must be a state of ``problem``, and every live row must hold
     exactly ``length`` actions."""
@@ -128,30 +90,16 @@ def apply_action_superposition(state: TreeState, problem: ProblemSpec, level: in
     action order, so the rows stay in path order. A live row whose node has no
     admissible action is kept and frozen (dead); dead rows are kept as they are.
     """
-    layout = state.layout
-    if not 0 <= level < layout.depth:
-        raise ValueError(f"level {level} outside layout depth {layout.depth}")
-    if state.mode == "dense":
-        new = np.zeros_like(state.vector)
-        for idx in np.nonzero(state.vector)[0]:
-            amp = state.vector[idx]
-            for target, coef in action_images(problem, layout, level, int(idx)):
-                new[target] += coef * amp
-        return TreeState(layout, "dense", vector=new)
+    if not 0 <= level < state.layout.depth:
+        raise ValueError(f"level {level} outside layout depth {state.layout.depth}")
     _check_rows(state, problem, level, f"applying level {level}")
     return _extend(state, problem, level)
 
 
 def apply_transition(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
     """Rewrite the node register of every live configuration to its successor."""
-    layout = state.layout
-    if not 0 <= level < layout.depth:
-        raise ValueError(f"level {level} outside layout depth {layout.depth}")
-    if state.mode == "dense":
-        new = np.zeros_like(state.vector)
-        for idx in np.nonzero(state.vector)[0]:
-            new[transition_images(problem, layout, level, int(idx))] += state.vector[idx]
-        return TreeState(layout, "dense", vector=new)
+    if not 0 <= level < state.layout.depth:
+        raise ValueError(f"level {level} outside layout depth {state.layout.depth}")
     _check_rows(state, problem, level + 1, f"transitioning level {level}")
     moved = _move(state, problem, level)
     if (moved.node < 0).any():  # a live row holds an action with no transition
@@ -188,18 +136,8 @@ def _move(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
     return TreeState.from_arrays(state.layout, state.actions, node, state.amp, state.dead)
 
 
-def scale_classes(amp: np.ndarray, marked, c_g: float, c_b: float) -> np.ndarray:
-    """``amp`` with the ``marked`` rows times ``c_g`` and the rest times ``c_b``;
-    ``amp`` itself when both are 1, since states never write their arrays."""
-    if c_g == c_b == 1.0:
-        return amp
-    out = amp * c_b
-    out[marked] = amp[marked] * c_g
-    return out
-
-
 class DeferredRows:
-    """The rows of a prepared structured state, held as their plan until read.
+    """A prepared tree, held as passes over its plan in place of rows.
 
     ``levels`` and ``dead`` are the plan's forward pass, ``plan.counts``.
     ``stages`` weight the rows by earlier amplifications, as (level, marks,
@@ -217,7 +155,8 @@ class DeferredRows:
     times the square of the level-l stage's factor at s. A prefix frozen at a
     dead end has no children and is one unmarked row. The state's amplitudes
     are the weighted preparation's with the marked rows times c_g and the
-    rest times c_b.
+    rest times c_b. ``walk`` and ``entry`` list them from the forward pass
+    and the weights, one row at a time.
     """
 
     __slots__ = ("plan", "levels", "dead", "stages", "marks", "c_g", "c_b", "_masses")
@@ -325,39 +264,69 @@ class DeferredRows:
             path.append(a)
         return tuple(path), s
 
-    def build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rows (actions, node, amp, dead), by the level loop of the operators
-        with each stage's weights applied at its level. The loop stops after the
-        forward pass's last level, since every row is frozen from there on, and
-        ``actions`` is only as wide as the levels it ran."""
-        problem, stages = self.plan.problem, {level: rest for level, *rest in self.stages}
-        layout, width = self.plan.layout, len(self.levels) - 1  # no row holds more actions
-        state = init_ground(RegisterLayout(layout.node_width, layout.action_width, width), problem.root)
-        # every row built here holds a state of the problem and the right number
-        # of admissible actions, so the operators' checks on outside input are skipped
-        for level in range(width):
-            if level in stages:
-                marks, c_g, c_b = stages[level]
-                marked = ~state.dead & np.isin(state.node, self._marked_at(level, marks))
-                state.amp = scale_classes(state.amp, marked, c_g, c_b)
-            state = _move(_extend(state, problem, level), problem, level)
-        marked = ~state.dead & np.isin(state.node, self.marked_states())
-        amp = scale_classes(state.amp, marked, self.c_g, self.c_b)
-        return state.actions, state.node, amp, state.dead
+    def _factors(self) -> tuple[dict, set]:
+        """The weights beyond 1/sqrt|A(s)|: per stage level, in level order, (the
+        states the stage marks, c_g, c_b); and the depth-d states ``marks`` holds at."""
+        stages = {
+            level: (set(self._marked_at(level, marks)), c_g, c_b)
+            for level, marks, c_g, c_b in sorted(self.stages, key=lambda stage: stage[0])
+        }
+        return stages, set(self.marked_states())
+
+    def _step(self, level: int, s: int, amp: float, stages: dict, marked: set):
+        """The prefix ending at state ``s`` at ``level``, ``amp`` its amplitude
+        before the level's stage: (amp, dead) of its row, or, when it has
+        children, (each child's amplitude, None). The factors are those of the
+        operator loop, in its order: the stage's, then 1/sqrt|A(s)|; a dead end
+        then takes c_b from every deeper stage, and a row ends with c_g if it is
+        a marked live row, else c_b."""
+        if level in stages:
+            on, c_g, c_b = stages[level]
+            amp *= c_g if s in on else c_b
+        if level == len(self.levels) - 1:  # the depth, or past the last live prefix
+            return amp * (self.c_g if s in marked else self.c_b), False
+        acts = self.plan.problem.admissible[s]
+        if acts:
+            return amp * (1 / math.sqrt(len(acts))), None
+        for deeper, (_, _, c_b) in stages.items():
+            if deeper > level:
+                amp *= c_b
+        return amp * self.c_b, True
+
+    def walk(self):
+        """Every row as (path, node, amp, dead), in path order, one at a time: a
+        depth-first walk of the reachable states in action order."""
+        problem, (stages, marked) = self.plan.problem, self._factors()
+        stack = [((), problem.root, 1.0)]
+        while stack:
+            path, s, amp = stack.pop()
+            amp, dead = self._step(len(path), s, amp, stages, marked)
+            if dead is not None:
+                yield path, s, amp, dead
+                continue
+            for a in reversed(problem.admissible[s]):
+                stack.append((path + (a,), problem.transition[(s, a)], amp))
+
+    def entry(self, path: tuple[int, ...]) -> Entry:
+        """The row of ``path``, by one descent along it; ``KeyError`` when
+        ``path`` is not a row."""
+        problem, (stages, marked) = self.plan.problem, self._factors()
+        s, amp = problem.root, 1.0
+        for level, a in enumerate((*path, None)):
+            amp, dead = self._step(level, s, amp, stages, marked)
+            if dead is not None or a is None:
+                break
+            s = problem.transition.get((s, a))
+            if s is None:
+                raise KeyError(path)
+        if dead is None or level < len(path):
+            raise KeyError(path)
+        return Entry(amp, s, dead)
 
 
-def prepare_tree_state(plan: PreparationPlan, mode: str = "structured") -> TreeState:
-    """Ground state followed by d rounds of (action superposition; transition).
-
-    A structured state is deferred: it holds the plan and its counts, and its
-    rows are built the first time one is read.
-    """
-    problem = plan.problem
-    if mode == "structured":
-        plan.check_cap()  # a plan made without ``for_problem`` was never checked
-        return TreeState.deferred_from(plan.layout, DeferredRows(plan))
-    state = init_ground(plan.layout, problem.root, mode)
-    for level in range(plan.depth):
-        state = apply_action_superposition(state, problem, level)
-        state = apply_transition(state, problem, level)
-    return state
+def prepare_tree_state(plan: PreparationPlan) -> TreeState:
+    """The tree that the ground state followed by d rounds of (action
+    superposition; transition) prepares, held as its plan's per-state passes:
+    no operator runs and no row is built."""
+    plan.check_cap()  # a plan made without ``for_problem`` was never checked
+    return TreeState.deferred_from(plan.layout, DeferredRows(plan))

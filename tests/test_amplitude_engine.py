@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from qtreesearch import (
     AmplificationSchedule,
     MarkPredicate,
@@ -16,28 +17,22 @@ from qtreesearch import (
     ProblemSpec,
     PruningStage,
     amplify,
-    apply_action_superposition,
-    apply_oracle,
-    apply_transition,
     enumerate_paths,
-    init_ground,
     iterative_deepening_search,
-    inner_product,
     measure_paths,
     optimal_iterations,
     path_amplitude,
     predicted_mass,
     prepare_tree_state,
     pruned_pipeline,
-    reflect_about,
     uninformed_search,
     write_problem,
     ZeroNormError,
 )
 from qtreesearch.amplitude_engine import _RunArrays
 from qtreesearch.generators import grid_problem, needle_problem
-from qtreesearch.statevector import TreeState, _measure_with_rng, dense_entries
-from qtreesearch.tree_prep import scale_classes
+from qtreesearch.statevector import TreeState
+from reference import apply_oracle, dense_entries, inner_product, reflect_about, scale_classes, to_dense
 from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
 
@@ -52,7 +47,7 @@ def brute_force_goal_mass(problem, depth) -> float:
 
 def amp_at(dense, prepared, path) -> complex:
     """Amplitude of a dense state at ``path`` and the node ``prepared`` holds there."""
-    return dense.vector[dense.layout.index_of(prepared.entries[path].node, path)]
+    return dense.vector[reference.index_of(dense.layout, prepared.entries[path].node, path)]
 
 
 def dense_iterates(state, axis, problem, predicate, k):
@@ -63,7 +58,7 @@ def dense_iterates(state, axis, problem, predicate, k):
 
 
 def max_deviation(structured, dense) -> float:
-    return float(np.max(np.abs(structured.to_dense().vector - dense.vector)))
+    return float(np.max(np.abs(to_dense(structured).vector - dense.vector)))
 
 
 def marked_mass(state, problem, predicate) -> float:
@@ -90,7 +85,7 @@ def test_oracle_no_marks_is_identity():
     plan = PreparationPlan.for_problem(p, 2)
     psi = prepare_tree_state(plan)
     same = apply_oracle(psi, p, MarkPredicate.goal_at(2))
-    assert np.array_equal(same.vector, psi.to_dense().vector)
+    assert np.array_equal(same.vector, to_dense(psi).vector)
 
 
 def test_oracle_all_marked_is_global_phase():
@@ -115,8 +110,8 @@ def test_oracle_dense_structured_agree(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     pred = MarkPredicate.goal_at(2)
     structured = apply_oracle(prepare_tree_state(plan), binary7, pred)
-    dense = apply_oracle(prepare_tree_state(plan, mode="dense"), binary7, pred)
-    assert np.max(np.abs(structured.to_dense().vector - dense.vector)) <= 1e-12
+    dense = apply_oracle(reference.prepare(plan), binary7, pred)
+    assert np.max(np.abs(to_dense(structured).vector - dense.vector)) <= 1e-12
 
 
 def test_threshold_predicate_needs_heuristic(binary7):
@@ -263,12 +258,12 @@ def test_amplify_matches_manual_iterates(nonconst5):
     plan = PreparationPlan.for_problem(nonconst5, 2)
     pred = MarkPredicate.goal_at(2)
     psi = prepare_tree_state(plan)
-    axis = prepare_tree_state(plan, mode="dense")
+    axis = reference.prepare(plan)
     manual = axis
     for k in range(4):
         sched = AmplificationSchedule(policy="explicit", iterations=k)
         fast, _ = amplify(psi, plan, pred, sched)
-        assert np.max(np.abs(fast.to_dense().vector - manual.vector)) <= 1e-12
+        assert np.max(np.abs(to_dense(fast).vector - manual.vector)) <= 1e-12
         manual = reflect_about(apply_oracle(manual, nonconst5, pred), axis)
 
 
@@ -400,11 +395,11 @@ def test_amplify_dense_matches_structured(nonconst5):
     pred = MarkPredicate.goal_at(2)
     sched = AmplificationSchedule(policy="explicit", iterations=2)
     s_final, s_report = amplify(prepare_tree_state(plan), plan, pred, sched)
-    axis = prepare_tree_state(plan, mode="dense")
+    axis = reference.prepare(plan)
     d_final = axis
     for _ in range(2):
         d_final = reflect_about(apply_oracle(d_final, nonconst5, pred), axis)
-    assert np.max(np.abs(s_final.to_dense().vector - d_final.vector)) <= 1e-12
+    assert np.max(np.abs(to_dense(s_final).vector - d_final.vector)) <= 1e-12
     d_mass = sum(
         abs(e.amp) ** 2
         for p, e in dense_entries(d_final, nonconst5)
@@ -439,7 +434,7 @@ def test_explicit_iterates_match_dense_reference(problem, depth, threshold):
     else:
         pred = MarkPredicate.threshold_at(depth, threshold)
     psi = prepare_tree_state(plan)
-    axis = prepare_tree_state(plan, mode="dense")
+    axis = reference.prepare(plan)
     dense = axis
     for k in range(12):
         sched = AmplificationSchedule(policy="explicit", iterations=k)
@@ -477,13 +472,14 @@ def dense_pipeline(problem, depth, stages, k):
     """The pruning pipeline on dense states, with k terminal goal iterates; a
     stage that marks nothing leaves the state as it is."""
     layout = PreparationPlan.for_problem(problem, depth).layout
-    state = init_ground(layout, problem.root, mode="dense")
+    state = reference.init_ground(layout, problem.root)
     at = {stage.level: stage for stage in stages}
     for level in range(depth):
         if level in at:
             pred = MarkPredicate.threshold_at(level, at[level].threshold)
             state = dense_iterates(state, state, problem, pred, at[level].iterations)
-        state = apply_transition(apply_action_superposition(state, problem, level), problem, level)
+        state = reference.apply_action_superposition(state, problem, level)
+        state = reference.apply_transition(state, problem, level)
     return dense_iterates(state, state, problem, MarkPredicate.goal_at(depth), k)
 
 
@@ -533,7 +529,7 @@ def test_exponential_search_matches_dense_reference(case, seed):
     finally:
         _RunArrays.restart = restart
     assert sum(k for k, _ in rounds) == report.iterations == report.oracle_queries
-    axis = prepare_tree_state(plan, mode="dense")
+    axis = reference.prepare(plan)
     for k, state in rounds:
         assert max_deviation(state, dense_iterates(axis, axis, problem, pred, k)) <= 1e-12, k
     last = rounds[-1][0] if rounds else 0
@@ -595,7 +591,7 @@ def test_explicit_iterations_keep_memory_flat(binary7):
 
 def choice_draw(run, rng):
     """The (path, node) that ``rng.choice`` draws from the run's amplitudes."""
-    state = copy.copy(run).to_state()  # a shallow copy: ``run`` keeps its cumulative masses
+    state = reference.rows_of(copy.copy(run).to_state())  # ``run`` keeps its own state
     probs = np.abs(state.amp) ** 2
     probs /= probs.sum()
     i = int(rng.choice(len(probs), p=probs))
@@ -661,9 +657,7 @@ def test_deferred_state_agrees_with_its_rows(problem, depth, context, threshold,
         pred = MarkPredicate.threshold_at(context, threshold)
     deferred = prepare_tree_state(plan)
     assert deferred.deferred is not None
-    rows = TreeState.from_arrays(
-        plan.layout, deferred.actions, deferred.node, deferred.amp, deferred.dead
-    )
+    rows = reference.rows_of(deferred)
     assert len(deferred.entries) == len(rows.amp)
     assert deferred.prefix_counts() == rows.prefix_counts()
     assert deferred.norm_sq() == pytest.approx(rows.norm_sq(), abs=1e-12)
@@ -685,13 +679,15 @@ def test_deferred_state_agrees_with_its_rows(problem, depth, context, threshold,
         g = amp[marked]
         assert run.marked_mass() == pytest.approx(float(np.vdot(g, g).real), abs=1e-12)
         ref = copy.deepcopy(rng)
-        assert [run.sample(rng)] == _measure_with_rng(built, 1, ref), k  # rng.choice
+        assert [run.sample(rng)] == reference.measure(built, 1, ref), k  # rng.choice
         assert rng.bit_generator.state == ref.bit_generator.state
         weighted = run.to_state()
         assert weighted.norm_sq() == pytest.approx(built.norm_sq(), abs=1e-12)
-        assert measure_paths(weighted, 3, seed + k) == measure_paths(built, 3, seed + k), k
-        # reading the rows applies the coefficients as scale_classes does on the rows
-        assert np.array_equal(weighted.amp, amp)
+        choice = reference.measure(built, 3, np.random.default_rng(seed + k))
+        assert measure_paths(weighted, 3, seed + k) == choice, k
+        # the weighted rows carry the coefficients as scale_classes does on the rows
+        assert np.array_equal(reference.rows_of(weighted).amp, amp)
+        assert [e.amp for _, e in weighted.sorted_entries()] == amp.tolist()
 
 
 @pytest.mark.parametrize("fill", [0.0, math.nan])
@@ -771,8 +767,8 @@ def test_amplify_rejects_dense_state(binary7):
     # amplify takes one input, an unamplified prepared tree
     plan = PreparationPlan.for_problem(binary7, 2)
     psi, pred = prepare_tree_state(plan), MarkPredicate.goal_at(2)
-    dense = prepare_tree_state(plan, mode="dense")
-    rows = TreeState.from_arrays(plan.layout, psi.actions, psi.node, psi.amp, psi.dead)
+    dense = reference.prepare(plan)
+    rows = reference.rows_of(psi)
     amplified, _ = amplify(psi, plan, pred, AmplificationSchedule())
     for state in (dense, rows, amplified):
         with pytest.raises(ValueError, match="unamplified prepared tree"):

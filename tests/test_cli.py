@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from qtreesearch import write_problem
-from qtreesearch.cli_reporting import build_parser, main
+from qtreesearch.cli_reporting import build_parser, main, run
 from qtreesearch.generators import needle_problem
 from conftest import cli_invoke as invoke, fixture_path
 
@@ -261,3 +263,34 @@ def test_tree_above_the_prefix_cap_exits_two(tmp_path, capsys):
     assert status == 2
     assert text == ""
     assert "2**24" in capsys.readouterr().err
+
+
+class _Sink:
+    """An output stream that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (["prepare", str(fixture_path("grid4")), "--depth", "6", "--samples"], ("2000", "20000")),
+        (["prepare", str(fixture_path("grid4")), "--state-dump", "--depth"], ("6", "9")),
+    ],
+    ids=["samples", "state-dump"],
+)
+def test_prepare_streams_its_output(argv, sizes):
+    # 2,000 and 20,000 draws, and dumps of 602 and 20,378 rows: each line is
+    # printed as it is made, so the peak does not grow with the output
+    run(build_parser().parse_args(argv + [sizes[0]]), out=_Sink())  # caches outside the window
+    peaks = []
+    for size in sizes:
+        args = build_parser().parse_args(argv + [size])
+        tracemalloc.start()
+        try:
+            assert run(args, out=_Sink()) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (64 << 10), peaks

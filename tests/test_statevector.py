@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import reference
 from qtreesearch import (
     LayoutMismatchError,
     MarkPredicate,
     PreparationPlan,
     RegisterLayout,
     ZeroNormError,
-    apply_oracle,
     init_ground,
-    inner_product,
     measure_paths,
     prepare_tree_state,
 )
 from qtreesearch.amplitude_engine import _RunArrays
 from qtreesearch.cli_reporting import state_dump_lines
-from qtreesearch.statevector import TreeState, dense_entries
+from qtreesearch.statevector import TreeState
+from reference import apply_oracle, dense_entries, inner_product, to_dense
 from conftest import load_fixture
 
 
@@ -40,8 +40,8 @@ def test_layout_index_round_trip():
     for node in range(8):
         for a0 in range(3):
             for a1 in range(3):
-                idx = lay.index_of(node, (a0, a1))
-                assert lay.decode(idx) == (node, (a0, a1))
+                idx = reference.index_of(lay, node, (a0, a1))
+                assert reference.decode(lay, idx) == (node, (a0, a1))
 
 
 def test_init_ground_structured():
@@ -49,13 +49,13 @@ def test_init_ground_structured():
     state = init_ground(lay, 0)
     assert state.norm_sq() == 1.0
     assert state.entries[()].amp == 1.0
-    samples = measure_paths(state, 5, seed=3)
+    samples = reference.measure(state, 5, np.random.default_rng(3))
     assert samples == [((), 0)] * 5
 
 
 def test_init_ground_dense_index(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
-    state = init_ground(plan.layout, binary7.root, mode="dense")
+    state = reference.init_ground(plan.layout, binary7.root)
     # root shifted past both 1-bit action registers
     expected = binary7.root << 2
     assert state.vector[expected] == 1.0
@@ -109,7 +109,7 @@ def test_measure_zero_norm_rejected():
     ground = init_ground(lay, 0)
     state = TreeState(lay, entries={(): ground.entries[()]._replace(amp=0j)})
     with pytest.raises(ZeroNormError):
-        measure_paths(state, 1, seed=0)
+        reference.measure(state, 1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("fill", [0.0, math.nan])
@@ -118,13 +118,14 @@ def test_measure_zero_or_nan_norm_rejected(binary7, fill):
     run = _RunArrays(prepare_tree_state(plan), binary7, MarkPredicate.goal_at(2))
     run.c_g = run.c_b = fill
     deferred = run.to_state()
-    psi = prepare_tree_state(plan)
+    psi = reference.rows_of(prepare_tree_state(plan))
     rows = TreeState.from_arrays(
         psi.layout, psi.actions, psi.node, np.full_like(psi.amp, fill), psi.dead
     )
-    for state in (deferred, rows):
-        with pytest.raises(ZeroNormError):
-            measure_paths(state, 1, seed=0)
+    with pytest.raises(ZeroNormError):
+        measure_paths(deferred, 1, seed=0)
+    with pytest.raises(ZeroNormError):
+        reference.measure(rows, 1, np.random.default_rng(0))
 
 
 def test_measure_uniform_frequencies(binary7):
@@ -141,7 +142,7 @@ def test_measure_chi_square(stem, depth):
     problem = load_fixture(stem)
     plan = PreparationPlan.for_problem(problem, depth)
     psi = prepare_tree_state(plan)
-    items = psi.sorted_entries()
+    items = list(psi.sorted_entries())
     expected = np.array([abs(e.amp) ** 2 for _, e in items])
     n = 100_000
     counts = Counter(path for path, _ in measure_paths(psi, n, seed=321))
@@ -153,7 +154,7 @@ def test_measure_chi_square(stem, depth):
 def test_dump_format_and_order(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     psi = prepare_tree_state(plan)
-    lines = state_dump_lines(psi)
+    lines = list(state_dump_lines(psi))
     assert lines == [
         "path=0,0 node=3 re=0.5 im=0",
         "path=0,1 node=4 re=0.5 im=0",
@@ -166,13 +167,14 @@ def test_dump_empty_path_record():
     p = load_fixture("tiny")
     plan = PreparationPlan.for_problem(p, 0)
     psi = prepare_tree_state(plan)
-    assert state_dump_lines(psi) == ["path= node=0 re=1 im=0"]
+    assert list(state_dump_lines(psi)) == ["path= node=0 re=1 im=0"]
 
 
 def test_structured_dense_agree_on_fixtures():
     # preparation in both modes, then structured amplify against the dense
     # reference iterates, on every fixture whose dense vector is materializable
-    from qtreesearch import AmplificationSchedule, amplify, reflect_about
+    from qtreesearch import AmplificationSchedule, amplify
+    from reference import reflect_about
     from conftest import DEFAULT_DEPTHS, all_fixture_stems
 
     for stem in all_fixture_stems():
@@ -181,9 +183,9 @@ def test_structured_dense_agree_on_fixtures():
         plan = PreparationPlan.for_problem(problem, depth)
         if plan.layout.total_width > 16:
             continue
-        structured = prepare_tree_state(plan, mode="structured")
-        dense = prepare_tree_state(plan, mode="dense")
-        diff = structured.to_dense().vector - dense.vector
+        structured = prepare_tree_state(plan)
+        dense = reference.prepare(plan)
+        diff = to_dense(structured).vector - dense.vector
         assert np.max(np.abs(diff)) <= 1e-12, stem
         # decoded entries match the structured bookkeeping exactly
         assert [
@@ -195,24 +197,25 @@ def test_structured_dense_agree_on_fixtures():
         d_final = dense
         for _ in range(2):
             d_final = reflect_about(apply_oracle(d_final, problem, pred), dense)
-        diff = s_final.to_dense().vector - d_final.vector
+        diff = to_dense(s_final).vector - d_final.vector
         assert np.max(np.abs(diff)) <= 1e-12, stem
 
 
 def test_dense_measure_matches_structured(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     structured = prepare_tree_state(plan)
-    dense = prepare_tree_state(plan, mode="dense")
+    dense = reference.prepare(plan)
     s1 = measure_paths(structured, 20, seed=5)
-    s2 = measure_paths(dense, 20, seed=5, problem=binary7)
+    s2 = reference.measure(dense, 20, np.random.default_rng(5), binary7)
     assert s1 == s2
 
 
 def test_dense_decoding_needs_the_problem(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
-    dense = prepare_tree_state(plan, mode="dense")
+    dense = reference.prepare(plan)
     with pytest.raises(ValueError, match="needs the problem"):
-        measure_paths(dense, 1, seed=0)
+        reference.measure(dense, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="needs the problem"):
-        state_dump_lines(dense)
-    assert state_dump_lines(dense, binary7) == state_dump_lines(prepare_tree_state(plan))
+        dense_entries(dense, None)
+    rows = TreeState(plan.layout, entries=dict(dense_entries(dense, binary7)))
+    assert list(state_dump_lines(rows)) == list(state_dump_lines(prepare_tree_state(plan)))

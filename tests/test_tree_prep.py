@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from qtreesearch import (
     CorruptedStateError,
     OperatorMisuseError,
     PreparationPlan,
+    ProblemSpec,
     apply_action_superposition,
     apply_transition,
     enumerate_paths,
@@ -23,7 +25,8 @@ from qtreesearch.amplitude_engine import AmplificationSchedule, MarkPredicate, a
 from qtreesearch.generators import grid_problem, needle_problem
 from qtreesearch.search_drivers import PipelinePlan, PruningStage, pruned_search, uninformed_search
 from qtreesearch.statevector import TreeState, measure_paths
-from qtreesearch.tree_prep import DeferredRows, action_images, transition_images
+from qtreesearch.tree_prep import DeferredRows
+from reference import action_images, index_of, to_dense, transition_images
 from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
 
@@ -137,10 +140,10 @@ def test_misuse_detected_when_level_skipped(binary7):
 
 def test_misuse_detected_in_dense_mode(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
-    state = init_ground(plan.layout, binary7.root, mode="dense")
-    state = apply_action_superposition(state, binary7, 0)
+    state = reference.init_ground(plan.layout, binary7.root)
+    state = reference.apply_action_superposition(state, binary7, 0)
     with pytest.raises(OperatorMisuseError):
-        apply_action_superposition(state, binary7, 0)
+        reference.apply_action_superposition(state, binary7, 0)
 
 
 def test_corrupted_state_detected(binary7):
@@ -223,9 +226,7 @@ def test_non_injective_transition_flagged():
 def test_structured_equals_dense_reference_on_edge_cases(load, depth):
     plan = PreparationPlan.for_problem(load(), depth)
     structured = prepare_tree_state(plan)
-    assert np.array_equal(
-        structured.to_dense().vector, prepare_tree_state(plan, mode="dense").vector
-    )
+    assert np.array_equal(to_dense(structured).vector, reference.prepare(plan).vector)
 
 
 def test_prefix_cap_refuses_before_preparing():
@@ -243,23 +244,15 @@ def test_level_memory_grows_with_children_not_alphabet():
     plan = PreparationPlan.for_problem(problem, 10)  # builds the per-problem arrays
     tracemalloc.start()
     try:
-        psi = prepare_tree_state(plan)
-        amp = psi.amp  # the rows are deferred until read, so read them in the window
+        state = init_ground(plan.layout, problem.root)
+        for level in range(10):
+            state = apply_transition(apply_action_superposition(state, problem, level), problem, level)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(amp) == 1024
+    assert len(state.amp) == 1024
     # a per-row flag for every action would take 1,024 x 4,097 bytes at the last level
     assert peak < 1 << 20
-
-
-@pytest.mark.parametrize("mode", ["dnese", "Dense", "", "rows"])
-def test_unknown_mode_is_refused(binary7, mode):
-    plan = PreparationPlan.for_problem(binary7, 2)
-    with pytest.raises(ValueError, match="unknown mode"):
-        prepare_tree_state(plan, mode=mode)
-    with pytest.raises(ValueError, match="unknown mode"):
-        init_ground(plan.layout, binary7.root, mode=mode)
 
 
 def test_dead_tree_depth_costs_its_own_depth():
@@ -318,9 +311,10 @@ def test_counts_norm_and_draws_of_a_prepared_tree_build_no_rows(binary7, monkeyp
     psi = prepare_tree_state(plan)
 
     def no_rows(self):
-        raise AssertionError("rows built")
+        raise AssertionError("rows listed")
 
-    monkeypatch.setattr(DeferredRows, "build", no_rows)
+    monkeypatch.setattr(DeferredRows, "walk", no_rows)
+    monkeypatch.setattr(DeferredRows, "entry", no_rows)
     assert len(psi.entries) == 4
     assert psi.prefix_counts() == (4, 0)
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -330,8 +324,9 @@ def test_counts_norm_and_draws_of_a_prepared_tree_build_no_rows(binary7, monkeyp
     ((path, node),) = measure_paths(final, 1, seed=0)
     assert binary7.follow(path) == node in binary7.goals
     monkeypatch.undo()
-    amp = psi.amp  # the first read builds the rows, once
-    assert psi.amp is amp and len(psi.node) == len(psi.dead) == len(psi.actions) == 4
+    assert len(list(psi.sorted_entries())) == len(dict(psi.entries.items())) == 4
+    # a prepared tree holds no row arrays, and listing its rows builds none
+    assert not any(hasattr(psi, name) for name in ("actions", "node", "amp", "dead"))
 
 
 # -- unitarity proxy (dense mode) -------------------------------------------
@@ -354,7 +349,7 @@ def unitarity_defect(problem, depth: int) -> float:
     state = init_ground(plan.layout, problem.root)
     for level in range(depth):
         domain = [
-            plan.layout.index_of(e.node, p) for p, e in state.sorted_entries()
+            index_of(plan.layout, e.node, p) for p, e in state.sorted_entries()
         ]
         images = [
             {idx: coef for idx, coef in action_images(problem, plan.layout, level, d)}
@@ -365,7 +360,7 @@ def unitarity_defect(problem, depth: int) -> float:
         state = apply_action_superposition(state, problem, level)
 
         domain = [
-            plan.layout.index_of(e.node, p) for p, e in state.sorted_entries()
+            index_of(plan.layout, e.node, p) for p, e in state.sorted_entries()
         ]
         images = [
             {transition_images(problem, plan.layout, level, d): 1.0} for d in domain
@@ -401,9 +396,100 @@ def test_random_preparation_matches_enumeration(problem, depth):
 def test_random_preparation_matches_dense_reference(problem, depth):
     plan = PreparationPlan.for_problem(problem, depth)
     psi = prepare_tree_state(plan)
-    assert np.array_equal(psi.to_dense().vector, prepare_tree_state(plan, mode="dense").vector)
+    assert np.array_equal(to_dense(psi).vector, reference.prepare(plan).vector)
     # the rows come out in strictly increasing path order without a sort
     paths = [p for p, _ in psi.sorted_entries()]
     assert all(a < b for a, b in zip(paths, paths[1:]))
-    # the size guard's per-state count predicts the rows that were built
-    assert len(psi.entries) == len(psi.amp)
+    # the size guard's per-state count predicts the rows that the operators build
+    assert len(psi.entries) == len(paths) == len(reference.rows_of(psi).amp)
+
+
+# -- the row walk of a prepared tree against the operator loop --------------------
+
+def walked_and_built(state):
+    """(path, node, amp, dead) of every row, from the walk and from the rows
+    that the operators build and ``reference.scale_classes`` weights."""
+    rows = reference.rows_of(state)
+    walked = [(p, e.node, e.amp, e.dead) for p, e in state.sorted_entries()]
+    columns = zip(rows.node.tolist(), rows.amp.tolist(), rows.dead.tolist())
+    built = [(rows.path(i), node, amp, dead) for i, (node, amp, dead) in enumerate(columns)]
+    return walked, built
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=connected_problems(), depth=st.integers(0, 6), data=st.data())
+def test_walk_lists_the_rows_the_operators_build(problem, depth, data):
+    plan = PreparationPlan.for_problem(problem, depth)
+    levels, _ = plan.counts  # a stage lies at a level with live prefixes
+    at = []
+    if len(levels) > 1:
+        at = data.draw(st.lists(st.integers(0, len(levels) - 2), max_size=3, unique=True))
+    weight = st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+    taus = st.sampled_from([0.0, 1.0, 2.0])
+    stages = [
+        (level, lambda s, tau=data.draw(taus): problem.h(s) <= tau, data.draw(weight), data.draw(weight))
+        for level in sorted(at)
+    ]
+    tree = prepare_tree_state(plan).deferred.staged(depth, stages)
+    k = data.draw(st.integers(0, 3))  # 0 leaves the tree unamplified
+    sched = AmplificationSchedule(policy="explicit", iterations=k)
+    state, _ = amplify(tree, plan, MarkPredicate.goal_at(depth), sched)
+    walked, built = walked_and_built(state)
+    # the same floats multiplied in the same order: equal with ==, not approximately
+    assert walked == built
+    assert len(state.entries) == len(walked)
+    assert all(state.entries[path] == (amp, node, dead) for path, node, amp, dead in walked)
+
+
+def dead_end_under_every_stage():
+    """r -a-> x, a dead end that the level-1 stage marks; r -b-> m, marked, and
+    m -a-> g, a dead end that the level-2 stage marks, while x, frozen before
+    it, takes its unmarked factor. g is also the goal that m -b-> n -a-> g and
+    r -c-> y -a-> n2 -a-> g reach at depth 3, where the frozen g is unmarked."""
+    return ProblemSpec(
+        name="frozen2",
+        states=("r", "x", "m", "y", "n", "n2", "g"),
+        actions=("a", "b", "c"),
+        transition={
+            (0, 0): 1, (0, 1): 2, (0, 2): 3, (2, 0): 6, (2, 1): 4, (3, 0): 5, (4, 0): 6, (5, 0): 6,
+        },
+        root=0,
+        goals=frozenset({6}),
+    ).validate()
+
+
+def test_walk_weights_dead_ends_under_every_stage():
+    problem = dead_end_under_every_stage()
+    plan = PreparationPlan.for_problem(problem, 3)
+    g1, b1, g2, b2 = 1.5, -0.5, 0.25, -1.75
+    stages = [(1, lambda s: s in (1, 2), g1, b1), (2, lambda s: s == 6, g2, b2)]
+    tree = prepare_tree_state(plan).deferred.staged(3, stages)
+    sched = AmplificationSchedule(policy="explicit", iterations=1)
+    state, _ = amplify(tree, plan, MarkPredicate.goal_at(3), sched)
+    cg, cb = state.deferred.c_g, state.deferred.c_b
+    walked, built = walked_and_built(state)
+    assert walked == built
+    f0, f1 = 1 / math.sqrt(3), 1 / math.sqrt(2)
+    assert walked == [
+        ((0,), 1, 1.0 * f0 * g1 * b2 * cb, True),
+        ((1, 0), 6, 1.0 * f0 * g1 * f1 * g2 * cb, True),
+        ((1, 1, 0), 6, 1.0 * f0 * g1 * f1 * b2 * 1.0 * cg, False),
+        ((2, 0, 0), 6, 1.0 * f0 * b1 * 1.0 * b2 * 1.0 * cg, False),
+    ]
+
+
+def test_entries_of_a_prepared_tree_descend_one_path():
+    problem = dead_end_under_every_stage()
+    plan = PreparationPlan.for_problem(problem, 3)
+    psi = prepare_tree_state(plan)
+    rows = dict(psi.entries.items())
+    f0, f1 = 1 / math.sqrt(3), 1 / math.sqrt(2)
+    assert psi.entries[(1, 1, 0)] == rows[(1, 1, 0)] == (f0 * f1, 6, False)
+    assert psi.entries[(0,)] == (f0, 1, True)  # a dead row
+    assert (0,) in psi.entries and (1, 0) in psi.entries
+    # not rows: the root and an inner prefix, past a dead end, an action with no
+    # transition, an action outside the alphabet, and past the depth
+    for path in [(), (1,), (0, 0), (2, 1), (1, 7), (1, 1, 0, 0)]:
+        assert path not in psi.entries
+        with pytest.raises(KeyError):
+            psi.entries[path]
