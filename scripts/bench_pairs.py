@@ -10,7 +10,12 @@ the seed advances by one per pair. The base is a detached ``git worktree`` of
 HEAD, made in a temporary directory and removed at the end, or any checkout
 given with ``--base``. The script reads the JSON line that ``run.py`` prints
 last, and the counted solves from the record it writes under
-``benchmark/results/``. For each end-to-end metric of BENCHMARK.json the
+``benchmark/results/``. Each run gets its own bytecode cache
+(``PYTHONPYCACHEPREFIX`` in a temporary directory), so a stale ``__pycache__``
+in either checkout cannot bias ``setup_s``. A set-up-only worker fills that
+cache first, and the checkout's own files are then removed from it, so the
+run imports the checkout from source and everything else from bytecode, as
+in the benchmark's fresh checkouts. For each end-to-end metric of BENCHMARK.json the
 script prints both sides' medians and quartiles, and how many pairs the
 working tree won; a tie is no win. Each pair's line also gives both sides'
 ``peak_rss_mb`` next to their solve count, since the peak grows with the
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -32,10 +39,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
-    cmd = [sys.executable, str(checkout / "benchmark" / "run.py"), "--workload", workload, "--seed", str(seed)]
+    args = ["--workload", workload, "--seed", str(seed)]
+    cmd = [sys.executable, str(checkout / "benchmark" / "run.py"), *args]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        warm = [sys.executable, str(checkout / "benchmark" / "worker.py"), *args, "--setup-only"]
+        subprocess.run(warm, cwd=checkout, env={**env, "PYTHONDONTWRITEBYTECODE": ""},
+                       capture_output=True, check=True)
+        shutil.rmtree(Path(cache) / checkout.relative_to(checkout.anchor))
+        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     summary = json.loads(done.stdout.strip().splitlines()[-1])
     record = checkout / "benchmark" / "results" / f"{workload}-seed{seed}-trace0.json"
     worker = json.loads(record.read_text())["worker"]

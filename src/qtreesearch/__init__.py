@@ -20,7 +20,6 @@ from .statevector import (
     RegisterLayout,
     ZeroNormError,
     init_ground,
-    measure_paths,
 )
 from .tree_prep import (
     CorruptedStateError,
@@ -28,6 +27,7 @@ from .tree_prep import (
     PreparationPlan,
     apply_action_superposition,
     apply_transition,
+    measure_paths,
     prepare_tree_state,
 )
 from .amplitude_engine import (

@@ -10,9 +10,10 @@ Cost is counted in phase-oracle applications, one per iterate: an O(1) update
 of two coefficients in that plane. Each exponential-search round restarts the
 same recurrence, so a round costs a table lookup: a run tabulates the
 coefficients once, only up to the largest k drawn (at most sqrt(N) + 1
-entries). ``amplify`` takes an unamplified prepared tree, plain or weighted by
-earlier pruning stages: the two norms are its root's class masses and a draw
-walks down the tree by them, so no run builds rows. The dense oracle and
+entries). ``amplify`` takes an unamplified ``PreparedTree``, plain or weighted
+by earlier pruning stages, and returns one under the final coefficients: the
+two norms are its root's class masses and a draw walks down the tree by them,
+so no run builds rows. The dense oracle and
 reflection that the tests compare against are in ``tests/reference.py``.
 """
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import MissingHeuristicError, ProblemSpec
-from .statevector import LayoutMismatchError, TreeState
-from .tree_prep import PreparationPlan
+from .statevector import LayoutMismatchError
+from .tree_prep import PreparationPlan, PreparedTree
 
 GOAL = "goal"
 HEURISTIC_THRESHOLD = "heuristic_threshold"
@@ -157,11 +158,10 @@ class _RunArrays:
     masses. No row is built.
     """
 
-    def __init__(self, state: TreeState, problem: ProblemSpec, predicate: MarkPredicate):
+    def __init__(self, tree: PreparedTree, problem: ProblemSpec, predicate: MarkPredicate):
         # every live row holds exactly depth actions, so another context marks nothing
-        on_rows = predicate.depth_context == state.deferred.plan.depth
-        self.layout = state.layout
-        self.tree = tree = state.deferred.marking(
+        on_rows = predicate.depth_context == tree.plan.depth
+        self.tree = tree = tree.marking(
             (lambda s: predicate.holds_at(problem, s)) if on_rows else None
         )
         self.n_paths = tree.live if on_rows else 0
@@ -201,16 +201,16 @@ class _RunArrays:
         one double, down the tree's class masses."""
         return self.tree.draw(rng.random(), self.c_g, self.c_b)
 
-    def to_state(self) -> TreeState:
-        return TreeState.deferred_from(self.layout, self.tree.weighted(self.c_g, self.c_b))
+    def to_state(self) -> PreparedTree:
+        return self.tree.weighted(self.c_g, self.c_b)
 
 
 def amplify(
-    x0: TreeState,
+    x0: PreparedTree,
     plan: PreparationPlan,
     predicate: MarkPredicate,
     sched: AmplificationSchedule,
-) -> tuple[TreeState, RunReport]:
+) -> tuple[PreparedTree, RunReport]:
     """Amplify the marked mass of ``x0`` per the schedule policy.
 
     ``x0`` is the unamplified prepared tree that the preparation pipeline
@@ -226,8 +226,7 @@ def amplify(
     """
     if x0.layout != plan.layout:
         raise LayoutMismatchError("state layout does not match the plan")
-    tree = x0.deferred
-    if tree is None or not tree.c_g == tree.c_b == 1.0:
+    if not isinstance(x0, PreparedTree) or not x0.c_g == x0.c_b == 1.0:
         raise ValueError(
             "amplify takes an unamplified prepared tree; rows and dense states are test references"
         )

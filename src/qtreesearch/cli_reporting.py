@@ -35,8 +35,7 @@ from .search_drivers import (
     pruned_search,
     uninformed_search,
 )
-from .statevector import TreeState, measure_paths
-from .tree_prep import PreparationPlan, prepare_tree_state
+from .tree_prep import PreparationPlan, PreparedTree, measure_paths, prepare_tree_state
 
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
@@ -116,7 +115,7 @@ def _emit_run(
     print("\n".join(lines), file=out)
 
 
-def state_dump_lines(state: TreeState) -> Iterator[str]:
+def state_dump_lines(state: PreparedTree) -> Iterator[str]:
     """Golden-test dump: one record per nonzero amplitude, in path order, one at a time."""
     return (
         _record(path=_path_str(path), node=e.node, re=e.amp.real, im=e.amp.imag)

@@ -26,9 +26,10 @@ from .problem_model import (
     branching_stats,
     classical_search,
 )
-from .statevector import _measure_with_rng, derive_seed
-from .tree_prep import (  # benchmark/tracing.py binds the two operators here
+from .statevector import derive_seed
+from .tree_prep import (  # benchmark/tracing.py binds the two operators and the draw here
     PreparationPlan,
+    _measure_with_rng,
     apply_action_superposition,
     apply_transition,
     prepare_tree_state,
@@ -160,7 +161,7 @@ def pruned_pipeline(plan: PipelinePlan, seed: int):
     if plan.stages and problem.heuristic is None:
         raise MissingHeuristicError("pruning stages need heuristic values")
     full_plan = PreparationPlan.for_problem(problem, plan.depth)
-    tree = prepare_tree_state(full_plan).deferred
+    tree = prepare_tree_state(full_plan)
     weights: tuple = ()  # (level, marks, c_g, c_b) of each stage that marked something
     stage_records: list[StageRecord] = []
     for stage in plan.stages:
@@ -169,12 +170,11 @@ def pruned_pipeline(plan: PipelinePlan, seed: int):
         sub_sched = AmplificationSchedule(
             policy="explicit", iterations=stage.iterations, seed=seed
         )
-        amplified, sub = amplify(x0, x0.deferred.plan, predicate, sub_sched)
+        amplified, sub = amplify(x0, x0.plan, predicate, sub_sched)
         if sub.initial_probability == 0.0:  # marks nothing: keep the state, charge nothing
             sub = replace(sub, iterations=0, oracle_queries=0, measured_probability=0.0)
         else:
-            rows = amplified.deferred
-            weights += ((stage.level, rows.marks, rows.c_g, rows.c_b),)
+            weights += ((stage.level, amplified.marks, amplified.c_g, amplified.c_b),)
         stage_records.append(
             StageRecord(
                 level=stage.level,

@@ -1,22 +1,14 @@
-"""Complex-amplitude state over the joint node (x) action-path register.
+"""Register layout and the row state over the joint node (x) action-path register.
 
-A structured state holds one amplitude per admissible path prefix;
-configurations that are not admissible prefixes implicitly hold amplitude
-zero. It comes in two forms:
-
-* a prepared tree (``deferred`` is set) holds no rows. Its row count, norm
-  and draws come from per-state counts and class masses, and its rows are
-  listed, one at a time in path order, by a depth-first walk of the same
-  per-state passes: that walk is ``sorted_entries``, ``entries`` and the
-  state dump. This is the one form production code runs on.
-* rows in aligned arrays, kept in path order with the node value and a dead
-  flag alongside each prefix, are what the two preparation operators of
-  ``tree_prep`` take and return. Tests hold the prepared tree to them.
+A row state holds one amplitude per admissible path prefix in aligned
+arrays, in path order with the node value and a dead flag alongside each
+prefix; configurations that are not admissible prefixes implicitly hold
+amplitude zero. Rows are what the two preparation operators of ``tree_prep``
+take and return, and the tests hold the prepared tree (``tree_prep.PreparedTree``,
+the one form production code runs on) to them.
 
 The dense joint-register vector, its inner products, the oracle and the
-reflection are the test reference in ``tests/reference.py``. Sampling uses
-numpy's PCG64 generator; every sample sequence is reproducible from the
-integer seed that reports record.
+reflection are the test reference in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -37,7 +29,7 @@ class ZeroNormError(ValueError):
 
 
 class Entry(NamedTuple):
-    amp: complex
+    amp: float | complex  # a prepared tree's amplitudes are real; a row state's are complex
     node: int
     dead: bool
 
@@ -76,13 +68,9 @@ class TreeState:
     ``amp`` and ``dead``. Rows stay in path order, a prefix before its
     extensions, so no operator sorts. States share these arrays and never
     write them after construction.
-
-    A prepared tree (``deferred`` is set) holds what built it instead, a
-    ``tree_prep.DeferredRows``, and never holds row arrays.
     """
 
-    __slots__ = ("layout", "actions", "node", "amp", "dead", "deferred")
-    mode = "structured"  # read by benchmark/tracing.py; dense states are test references
+    __slots__ = ("layout", "actions", "node", "amp", "dead")
 
     def __init__(
         self,
@@ -100,7 +88,6 @@ class TreeState:
         self.node = np.array([e.node for _, e in items], dtype=np.int32)
         self.amp = np.array([e.amp for _, e in items], dtype=np.complex128)
         self.dead = np.array([e.dead for _, e in items], dtype=bool)
-        self.deferred = None
 
     @classmethod
     def from_arrays(
@@ -113,26 +100,16 @@ class TreeState:
     ) -> "TreeState":
         """A row state over rows that are already in path order."""
         state = cls.__new__(cls)
-        state.layout, state.deferred = layout, None
+        state.layout = layout
         state.actions, state.node, state.amp, state.dead = actions, node, amp, dead
-        return state
-
-    @classmethod
-    def deferred_from(cls, layout: RegisterLayout, rows) -> "TreeState":
-        """A prepared tree: ``rows`` gives its counts, ``norm_sq``, ``draw``, and
-        its rows one at a time (``walk``, ``entry``)."""
-        state = cls.__new__(cls)
-        state.layout, state.deferred = layout, rows
         return state
 
     @property
     def n_rows(self) -> int:
-        return self.deferred.rows if self.deferred is not None else len(self.amp)
+        return len(self.amp)
 
     def prefix_counts(self) -> tuple[int, int]:
         """(live paths, dead prefixes)."""
-        if self.deferred is not None:
-            return self.deferred.live, self.deferred.dead
         n_dead = int(self.dead.sum())
         return len(self.dead) - n_dead, n_dead
 
@@ -144,26 +121,31 @@ class TreeState:
     def path(self, row: int) -> tuple[int, ...]:
         return tuple(a for a in self.actions[row].tolist() if a >= 0)
 
+    def entry(self, path: tuple[int, ...]) -> Entry:
+        """The row of ``path``, by bisecting the path order; ``KeyError`` when
+        ``path`` is not a row."""
+        row = bisect.bisect_left(range(self.n_rows), path, key=self.path)
+        if row == self.n_rows or self.path(row) != path:
+            raise KeyError(path)
+        return Entry(complex(self.amp[row]), int(self.node[row]), bool(self.dead[row]))
+
     def norm_sq(self) -> float:
-        if self.deferred is not None:
-            return self.deferred.norm_sq()
         return float(np.vdot(self.amp, self.amp).real)
 
     def sorted_entries(self) -> Iterator[tuple[tuple[int, ...], Entry]]:
         """Every row as a (path prefix, ``Entry``) pair, in path order, one at a time."""
-        if self.deferred is not None:
-            return ((path, Entry(amp, node, dead)) for path, node, amp, dead in self.deferred.walk())
         rows = zip(self.actions.tolist(), self.amp.tolist(), self.node.tolist(), self.dead.tolist())
         return ((tuple(a for a in acts if a >= 0), Entry(*rest)) for acts, *rest in rows)
 
 
 class _Entries(Mapping):
-    """Path -> ``Entry`` over a state's rows, in path order: a lookup descends
-    a prepared tree along the path, or bisects the path order of rows."""
+    """Path -> ``Entry`` over a state's rows, in path order: a row state or a
+    ``tree_prep.PreparedTree``, each of which gives ``n_rows``,
+    ``sorted_entries()`` and ``entry(path)``."""
 
     __slots__ = ("_state",)
 
-    def __init__(self, state: TreeState):
+    def __init__(self, state):
         self._state = state
 
     def __len__(self) -> int:
@@ -173,13 +155,7 @@ class _Entries(Mapping):
         return (path for path, _ in self._state.sorted_entries())
 
     def __getitem__(self, path: tuple[int, ...]) -> Entry:
-        state = self._state
-        if state.deferred is not None:
-            return state.deferred.entry(path)
-        row = bisect.bisect_left(range(len(self)), path, key=state.path)
-        if row == len(self) or state.path(row) != path:
-            raise KeyError(path)
-        return Entry(complex(state.amp[row]), int(state.node[row]), bool(state.dead[row]))
+        return self._state.entry(path)
 
 
 def init_ground(layout: RegisterLayout, root: int) -> TreeState:
@@ -187,29 +163,6 @@ def init_ground(layout: RegisterLayout, root: int) -> TreeState:
     if not 0 <= root < (1 << layout.node_width):
         raise ValueError(f"root index {root} does not fit the node register")
     return TreeState(layout, entries={(): Entry(1.0 + 0j, root, False)})
-
-
-def _measure_with_rng(
-    state: TreeState, samples: int, rng: np.random.Generator
-) -> list[tuple[tuple[int, ...], int]]:
-    rows = state.deferred
-    if rows is None:
-        raise ValueError("only a prepared tree is measured; rows are test references")
-    # the doubles rng.choice would take, each walked down the tree
-    return [rows.draw(u, rows.c_g, rows.c_b) for u in rng.random(samples).tolist()]
-
-
-def measure_paths(
-    state: TreeState, samples: int, seed: int | np.random.Generator
-) -> list[tuple[tuple[int, ...], int]]:
-    """Draw i.i.d. samples from the |amplitude|^2 distribution of a prepared tree.
-
-    Identical (seed, state) pairs produce identical sample sequences; the
-    generator is numpy's PCG64 seeded with ``seed``. A ``Generator`` given as
-    ``seed`` is used as it is, so draws split over several calls on one
-    generator are the draws of one call.
-    """
-    return _measure_with_rng(state, samples, np.random.default_rng(seed))
 
 
 def derive_seed(seed: int, *streams: int) -> int:

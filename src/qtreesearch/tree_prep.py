@@ -8,9 +8,14 @@ prod_i 1/sqrt(|A_{s_i}|); a prefix whose node has no admissible actions keeps
 its amplitude frozen at the level where it died and is never extended.
 
 ``prepare_tree_state`` runs no operator: it returns the tree as per-state
-counts and class masses over the reachable (level, state) pairs
-(``DeferredRows``), and lists its rows by walking those. The operators act
-on rows, which the tests hold the walk to.
+counts and class masses over the reachable (level, state) pairs, a
+``PreparedTree``. That is the one state that production code passes around:
+its row count, norm and draws come from those passes, and it lists its rows,
+one at a time in path order, by walking them. The operators act on the row
+states of ``statevector``, which the tests hold the walk to.
+
+Draws use numpy's PCG64 generator; every sample sequence is reproducible
+from the integer seed that reports record.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .problem_model import ProblemSpec, count_levels
-from .statevector import Entry, RegisterLayout, TreeState, ZeroNormError
+from .statevector import Entry, RegisterLayout, TreeState, ZeroNormError, _Entries
 
 PREFIX_CAP = 1 << 24  # rows of a structured state; beyond that preparation is refused
 
@@ -136,10 +141,10 @@ def _move(state: TreeState, problem: ProblemSpec, level: int) -> TreeState:
     return TreeState.from_arrays(state.layout, state.actions, node, state.amp, state.dead)
 
 
-class DeferredRows:
+class PreparedTree:
     """A prepared tree, held as passes over its plan in place of rows.
 
-    ``levels`` and ``dead`` are the plan's forward pass, ``plan.counts``.
+    ``levels`` and ``n_dead`` are the plan's forward pass, ``plan.counts``.
     ``stages`` weight the rows by earlier amplifications, as (level, marks,
     c_g, c_b): a prefix live at that level, a dead end there included, takes
     c_g if ``marks`` holds at its state and c_b otherwise, and a prefix frozen
@@ -159,19 +164,33 @@ class DeferredRows:
     and the weights, one row at a time.
     """
 
-    __slots__ = ("plan", "levels", "dead", "stages", "marks", "c_g", "c_b", "_masses")
+    __slots__ = ("plan", "levels", "n_dead", "stages", "marks", "c_g", "c_b", "_masses")
+    mode = "structured"  # read by benchmark/tracing.py; dense states are test references
 
     def __init__(self, plan: PreparationPlan, stages=(), marks=None, c_g=1.0, c_b=1.0, masses=None):
-        self.plan, (self.levels, self.dead), self.stages = plan, plan.counts, tuple(stages)
+        self.plan, (self.levels, self.n_dead), self.stages = plan, plan.counts, tuple(stages)
         self.marks, self.c_g, self.c_b, self._masses = marks, c_g, c_b, masses
+
+    @property
+    def layout(self) -> RegisterLayout:
+        return self.plan.layout
 
     @property
     def live(self) -> int:
         return sum(self.levels[-1].values())
 
     @property
-    def rows(self) -> int:
-        return self.live + self.dead
+    def n_rows(self) -> int:
+        return self.live + self.n_dead
+
+    def prefix_counts(self) -> tuple[int, int]:
+        """(live paths, dead prefixes)."""
+        return self.live, self.n_dead
+
+    @property
+    def entries(self) -> _Entries:
+        """Read-only path -> ``Entry`` view of the rows, in path order."""
+        return _Entries(self)
 
     def _marked_at(self, level: int, marks) -> list[int]:
         return [s for s in self.levels[level] if marks is not None and marks(s)]
@@ -183,20 +202,20 @@ class DeferredRows:
     def marked_paths(self) -> int:
         return sum(self.levels[-1][s] for s in self.marked_states())
 
-    def marking(self, marks) -> "DeferredRows":
+    def marking(self, marks) -> "PreparedTree":
         """The same rows, with the backward pass made for ``marks``."""
-        return DeferredRows(self.plan, self.stages, marks)
+        return PreparedTree(self.plan, self.stages, marks)
 
-    def weighted(self, c_g: float, c_b: float) -> "DeferredRows":
-        return DeferredRows(self.plan, self.stages, self.marks, c_g, c_b, self.masses())
+    def weighted(self, c_g: float, c_b: float) -> "PreparedTree":
+        return PreparedTree(self.plan, self.stages, self.marks, c_g, c_b, self.masses())
 
-    def staged(self, depth: int, stages) -> TreeState:
+    def staged(self, depth: int, stages) -> "PreparedTree":
         """The unamplified tree of this tree's first ``depth`` levels, its rows
         weighted by ``stages``, each at a level below ``depth``."""
         plan = self.plan
         if depth != plan.depth:
             plan = PreparationPlan(plan.problem, depth, plan.layout)
-        return TreeState.deferred_from(plan.layout, DeferredRows(plan, stages))
+        return PreparedTree(plan, stages)
 
     def masses(self) -> tuple[list[dict], float, float]:
         """(children per level, marked mass, unmarked mass) of the whole tree."""
@@ -307,6 +326,10 @@ class DeferredRows:
             for a in reversed(problem.admissible[s]):
                 stack.append((path + (a,), problem.transition[(s, a)], amp))
 
+    def sorted_entries(self):
+        """Every row as a (path prefix, ``Entry``) pair, in path order, one at a time."""
+        return ((path, Entry(amp, node, dead)) for path, node, amp, dead in self.walk())
+
     def entry(self, path: tuple[int, ...]) -> Entry:
         """The row of ``path``, by one descent along it; ``KeyError`` when
         ``path`` is not a row."""
@@ -324,9 +347,31 @@ class DeferredRows:
         return Entry(amp, s, dead)
 
 
-def prepare_tree_state(plan: PreparationPlan) -> TreeState:
+def prepare_tree_state(plan: PreparationPlan) -> PreparedTree:
     """The tree that the ground state followed by d rounds of (action
     superposition; transition) prepares, held as its plan's per-state passes:
     no operator runs and no row is built."""
     plan.check_cap()  # a plan made without ``for_problem`` was never checked
-    return TreeState.deferred_from(plan.layout, DeferredRows(plan))
+    return PreparedTree(plan)
+
+
+def _measure_with_rng(
+    tree: PreparedTree, samples: int, rng: np.random.Generator
+) -> list[tuple[tuple[int, ...], int]]:
+    if not isinstance(tree, PreparedTree):
+        raise ValueError("only a prepared tree is measured; rows are test references")
+    # the doubles rng.choice would take, each walked down the tree
+    return [tree.draw(u, tree.c_g, tree.c_b) for u in rng.random(samples).tolist()]
+
+
+def measure_paths(
+    tree: PreparedTree, samples: int, seed: int | np.random.Generator
+) -> list[tuple[tuple[int, ...], int]]:
+    """Draw i.i.d. samples from the |amplitude|^2 distribution of a prepared tree.
+
+    Identical (seed, tree) pairs produce identical sample sequences; the
+    generator is numpy's PCG64 seeded with ``seed``. A ``Generator`` given as
+    ``seed`` is used as it is, so draws split over several calls on one
+    generator are the draws of one call.
+    """
+    return _measure_with_rng(tree, samples, np.random.default_rng(seed))

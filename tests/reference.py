@@ -5,7 +5,7 @@
   frontier, and the goal test happens at that moment. Each search stops at
   its first goal or once it has popped ``max_expansions`` nodes.
 * The weighted rows of a prepared tree, built by the operator loop, for the
-  walk of ``tree_prep.DeferredRows``.
+  walk of ``tree_prep.PreparedTree``.
 * The dense joint-register vector, with its operators, oracle, reflection,
   inner product and ``rng.choice`` draw, for the structured state.
 
@@ -34,9 +34,9 @@ from qtreesearch.problem_model import (
 from qtreesearch.statevector import Entry, LayoutMismatchError, RegisterLayout, TreeState, ZeroNormError
 from qtreesearch.tree_prep import (
     CorruptedStateError,
-    DeferredRows,
     OperatorMisuseError,
     PreparationPlan,
+    PreparedTree,
     _extend,
     _move,
 )
@@ -142,7 +142,7 @@ def scale_classes(amp: np.ndarray, marked, c_g: float, c_b: float) -> np.ndarray
     return out
 
 
-def build(rows: DeferredRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def build(rows: PreparedTree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rows (actions, node, amp, dead), by the level loop of the operators
     with each stage's weights applied at its level. The loop stops after the
     forward pass's last level, since every row is frozen from there on, and
@@ -164,12 +164,12 @@ def build(rows: DeferredRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return state.actions, state.node, amp, state.dead
 
 
-def rows_of(state: TreeState) -> TreeState:
+def rows_of(state: TreeState | PreparedTree) -> TreeState:
     """A prepared tree's rows as a row state (its own layout, ``actions`` only as
     wide as the levels reached); a row state as it is."""
-    if state.deferred is None:
+    if isinstance(state, TreeState):
         return state
-    return TreeState.from_arrays(state.layout, *build(state.deferred))
+    return TreeState.from_arrays(state.layout, *build(state))
 
 
 def measure(state, samples: int, rng: np.random.Generator, problem: ProblemSpec | None = None):
@@ -195,7 +195,6 @@ class Dense:
 
     layout: RegisterLayout
     vector: np.ndarray
-    deferred = None  # never a prepared tree, so ``amplify`` refuses it
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.vector, self.vector).real)

@@ -32,6 +32,7 @@ from qtreesearch import (
 from qtreesearch.amplitude_engine import _RunArrays
 from qtreesearch.generators import grid_problem, needle_problem
 from qtreesearch.statevector import TreeState
+from qtreesearch.tree_prep import PreparedTree
 from reference import apply_oracle, dense_entries, inner_product, reflect_about, scale_classes, to_dense
 from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
@@ -655,17 +656,17 @@ def test_deferred_state_agrees_with_its_rows(problem, depth, context, threshold,
         pred = MarkPredicate.goal_at(context)
     else:
         pred = MarkPredicate.threshold_at(context, threshold)
-    deferred = prepare_tree_state(plan)
-    assert deferred.deferred is not None
-    rows = reference.rows_of(deferred)
-    assert len(deferred.entries) == len(rows.amp)
-    assert deferred.prefix_counts() == rows.prefix_counts()
-    assert deferred.norm_sq() == pytest.approx(rows.norm_sq(), abs=1e-12)
+    tree = prepare_tree_state(plan)
+    assert isinstance(tree, PreparedTree)
+    rows = reference.rows_of(tree)
+    assert len(tree.entries) == len(rows.amp)
+    assert tree.prefix_counts() == rows.prefix_counts()
+    assert tree.norm_sq() == pytest.approx(rows.norm_sq(), abs=1e-12)
     # the row references: the live rows of the context length, and those the predicate marks
     live = ~rows.dead & np.array([len(rows.path(i)) == context for i in range(len(rows.amp))])
     holds = np.array([pred.holds_at(problem, node) for node in rows.node.tolist()], dtype=bool)
     marked = live & holds
-    run = _RunArrays(deferred, problem, pred)
+    run = _RunArrays(tree, problem, pred)
     assert (run.n_paths, run.m_marked) == (int(live.sum()), int(marked.sum()))
     g, b = rows.amp[marked], rows.amp[~marked]
     assert run.g2 == pytest.approx(float(np.vdot(g, g).real), abs=1e-12)
@@ -694,7 +695,7 @@ def test_deferred_state_agrees_with_its_rows(problem, depth, context, threshold,
 def test_exponential_search_on_zero_norm_state_raises(binary7, fill):
     # every row weighted by zero or NaN: the tree's own draw refuses it
     plan = PreparationPlan.for_problem(binary7, 2)
-    psi = prepare_tree_state(plan).deferred.staged(2, [(0, None, fill, fill)])
+    psi = prepare_tree_state(plan).staged(2, [(0, None, fill, fill)])
     sched = AmplificationSchedule(policy="exponential_search")
     with pytest.raises(ZeroNormError):
         amplify(psi, plan, MarkPredicate.goal_at(2), sched)

@@ -112,18 +112,26 @@ def test_measure_zero_norm_rejected():
         reference.measure(state, 1, np.random.default_rng(0))
 
 
+def test_measure_paths_refuses_what_is_not_a_prepared_tree(binary7):
+    # rows and the dense vector are test references; only the prepared tree draws
+    plan = PreparationPlan.for_problem(binary7, 2)
+    for state in (reference.rows_of(prepare_tree_state(plan)), reference.prepare(plan)):
+        with pytest.raises(ValueError, match="only a prepared tree is measured"):
+            measure_paths(state, 1, seed=0)
+
+
 @pytest.mark.parametrize("fill", [0.0, math.nan])
 def test_measure_zero_or_nan_norm_rejected(binary7, fill):
     plan = PreparationPlan.for_problem(binary7, 2)
     run = _RunArrays(prepare_tree_state(plan), binary7, MarkPredicate.goal_at(2))
     run.c_g = run.c_b = fill
-    deferred = run.to_state()
+    tree = run.to_state()
     psi = reference.rows_of(prepare_tree_state(plan))
     rows = TreeState.from_arrays(
         psi.layout, psi.actions, psi.node, np.full_like(psi.amp, fill), psi.dead
     )
     with pytest.raises(ZeroNormError):
-        measure_paths(deferred, 1, seed=0)
+        measure_paths(tree, 1, seed=0)
     with pytest.raises(ZeroNormError):
         reference.measure(rows, 1, np.random.default_rng(0))
 

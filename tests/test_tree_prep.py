@@ -24,8 +24,8 @@ from qtreesearch import (
 from qtreesearch.amplitude_engine import AmplificationSchedule, MarkPredicate, amplify
 from qtreesearch.generators import grid_problem, needle_problem
 from qtreesearch.search_drivers import PipelinePlan, PruningStage, pruned_search, uninformed_search
-from qtreesearch.statevector import TreeState, measure_paths
-from qtreesearch.tree_prep import DeferredRows
+from qtreesearch.statevector import TreeState
+from qtreesearch.tree_prep import PreparedTree, measure_paths
 from reference import action_images, index_of, to_dense, transition_images
 from conftest import DEFAULT_DEPTHS, cli_invoke, connected_problems, fixture_path, load_fixture
 
@@ -313,8 +313,8 @@ def test_counts_norm_and_draws_of_a_prepared_tree_build_no_rows(binary7, monkeyp
     def no_rows(self):
         raise AssertionError("rows listed")
 
-    monkeypatch.setattr(DeferredRows, "walk", no_rows)
-    monkeypatch.setattr(DeferredRows, "entry", no_rows)
+    monkeypatch.setattr(PreparedTree, "walk", no_rows)
+    monkeypatch.setattr(PreparedTree, "entry", no_rows)
     assert len(psi.entries) == 4
     assert psi.prefix_counts() == (4, 0)
     assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -430,7 +430,7 @@ def test_walk_lists_the_rows_the_operators_build(problem, depth, data):
         (level, lambda s, tau=data.draw(taus): problem.h(s) <= tau, data.draw(weight), data.draw(weight))
         for level in sorted(at)
     ]
-    tree = prepare_tree_state(plan).deferred.staged(depth, stages)
+    tree = prepare_tree_state(plan).staged(depth, stages)
     k = data.draw(st.integers(0, 3))  # 0 leaves the tree unamplified
     sched = AmplificationSchedule(policy="explicit", iterations=k)
     state, _ = amplify(tree, plan, MarkPredicate.goal_at(depth), sched)
@@ -463,10 +463,10 @@ def test_walk_weights_dead_ends_under_every_stage():
     plan = PreparationPlan.for_problem(problem, 3)
     g1, b1, g2, b2 = 1.5, -0.5, 0.25, -1.75
     stages = [(1, lambda s: s in (1, 2), g1, b1), (2, lambda s: s == 6, g2, b2)]
-    tree = prepare_tree_state(plan).deferred.staged(3, stages)
+    tree = prepare_tree_state(plan).staged(3, stages)
     sched = AmplificationSchedule(policy="explicit", iterations=1)
     state, _ = amplify(tree, plan, MarkPredicate.goal_at(3), sched)
-    cg, cb = state.deferred.c_g, state.deferred.c_b
+    cg, cb = state.c_g, state.c_b
     walked, built = walked_and_built(state)
     assert walked == built
     f0, f1 = 1 / math.sqrt(3), 1 / math.sqrt(2)
