@@ -6,15 +6,16 @@ the marked mass after k iterations follows sin^2((2k+1) asin(sqrt(a)))
 exactly, whatever the amplitude profile. Non-constant branching only changes
 a, never the two-dimensional rotation.
 
-Cost is counted in phase-oracle applications, one per iterate: an O(1) update
-of two coefficients in that plane. Each exponential-search round restarts the
-same recurrence, so a round costs a table lookup: a run tabulates the
-coefficients once, only up to the largest k drawn (at most sqrt(N) + 1
-entries). ``amplify`` takes an unamplified ``PreparedTree``, plain or weighted
-by earlier pruning stages, and returns one under the final coefficients: the
+Cost is counted in phase-oracle applications, one per iterate. Each iterate
+turns the state in that plane by twice the start's angle t, so the two
+coefficients after k iterates have a closed form (BHMT, quant-ph/0005055,
+Lemma 1), and any k, for any policy and any exponential-search round, costs
+O(1) to set.
+``amplify`` takes an unamplified ``PreparedTree``, plain or weighted by
+earlier pruning stages, and returns one under the final coefficients: the
 two norms are its root's class masses and a draw walks down the tree by them,
-so no run builds rows. The dense oracle and
-reflection that the tests compare against are in ``tests/reference.py``.
+so no run builds rows. The dense oracle and reflection that the tests compare
+against are in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -93,6 +94,8 @@ class AmplificationSchedule:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.iterations < 0:
             raise ValueError("explicit iteration count must be >= 0")
+        if self.iterations >= 2**52:  # 2k+1 must stay an exact double in the phase
+            raise ValueError("iteration count must be below 2**52")
         if self.max_oracle_queries < 0:
             raise ValueError("query budget must be >= 0")
 
@@ -153,9 +156,10 @@ class _RunArrays:
     """A prepared tree under the iterate, held as c_g psi_good + c_b psi_bad.
 
     psi_good and psi_bad are the tree on its marked rows and on the rest, with
-    norms g2 and b2 taken from its class masses; the iterate keeps their plane,
-    so it updates only the coefficients, and a draw walks down the class
-    masses. No row is built.
+    norms g2 and b2 taken from its class masses. The iterate keeps their plane
+    and turns the state in it by 2t, where t = atan2(sqrt(g2), sqrt(b2)) is the
+    start's angle from psi_bad, so ``rotate`` sets the coefficients after any k
+    iterates at once, and a draw walks down the class masses. No row is built.
     """
 
     def __init__(self, tree: PreparedTree, problem: ProblemSpec, predicate: MarkPredicate):
@@ -167,34 +171,23 @@ class _RunArrays:
         self.n_paths = tree.live if on_rows else 0
         self.m_marked = tree.marked_paths()
         _, self.g2, self.b2 = tree.masses()
-        self.reset()
-
-    def reset(self) -> None:
+        self.t = math.atan2(math.sqrt(self.g2), math.sqrt(self.b2))
+        self.sin_t, self.cos_t = math.sin(self.t), math.cos(self.t)
         self.c_g, self.c_b = 1.0, 1.0
-        self.table = [(1.0, 1.0)]  # (c_g, c_b) after j iterates from the start, at j
 
-    def restart(self, k: int) -> None:
-        """Set the coefficients to those after k iterates from the start, the
-        table extended by the recurrence only as far as the largest k asked."""
-        while len(self.table) <= k:
-            self.c_g, self.c_b = self.table[-1]
-            self.iterate(1)
-            self.table.append((self.c_g, self.c_b))
-        self.c_g, self.c_b = self.table[k]
+    def rotate(self, k: int) -> None:
+        """Set the coefficients to those after k iterates from the start, each
+        the oracle and then the reflection 2|psi><psi|/<psi|psi> - 1 about it:
+        c_g = sin((2k+1)t)/sin t, or its limit 2k+1 when nothing is marked, and
+        c_b = cos((2k+1)t)/cos t. The phase (2k+1)t carries a rounding error
+        of about (2k+1)*t*2**-53: it grows with the angle turned, and the
+        cost is the same for every k."""
+        phase = (2 * k + 1) * self.t
+        self.c_g = math.sin(phase) / self.sin_t if self.sin_t else 2.0 * k + 1.0
+        self.c_b = math.cos(phase) / self.cos_t
 
     def marked_mass(self) -> float:
         return self.c_g * self.c_g * self.g2
-
-    def iterate(self, k: int) -> None:
-        """Apply k iterates: oracle, then reflection about the starting state,
-        2|psi><psi|/<psi|psi> - 1, so that a norm rounded off 1 does not drift."""
-        c_g, c_b, g2, b2 = self.c_g, self.c_b, self.g2, self.b2
-        if g2 + b2 > 0.0:
-            g2, b2 = g2 / (g2 + b2), b2 / (g2 + b2)
-        for _ in range(k):
-            s = -c_g * g2 + c_b * b2  # <psi| oracle |state> / <psi|psi>
-            c_g, c_b = 2 * s + c_g, 2 * s - c_b
-        self.c_g, self.c_b = c_g, c_b
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
         """Draw the row ``rng.choice(n, p=|amps|^2/sum)`` would, from the same
@@ -236,14 +229,13 @@ def amplify(
     queries = 0
     warnings: list[str] = []
     a = min(run.marked_mass(), 1.0)  # a summed mass can land an ulp above 1
-    theta = math.asin(math.sqrt(a))
 
     def report(samples, predicted: float) -> RunReport:
         return RunReport(
             n_paths=run.n_paths,
             m_marked=run.m_marked,
             initial_probability=a,
-            theta=theta,
+            theta=run.t,
             iterations=queries,  # one oracle query per iterate
             oracle_queries=queries,
             predicted_probability=predicted,
@@ -266,7 +258,7 @@ def amplify(
             k = optimal_iterations(a)
             if k == 0:
                 warnings.append("single_measurement_sufficient")
-        run.iterate(k)
+        run.rotate(k)
         queries = k
         return run.to_state(), report((), predicted_mass(a, k))
 
@@ -284,7 +276,7 @@ def amplify(
         if queries + k > sched.max_oracle_queries:
             warnings.append("budget_exhausted")
             break
-        run.restart(k)
+        run.rotate(k)
         queries += k
         last_k = k
         path, node = run.sample(rng)

@@ -8,6 +8,9 @@
   walk of ``tree_prep.PreparedTree``.
 * The dense joint-register vector, with its operators, oracle, reflection,
   inner product and ``rng.choice`` draw, for the structured state.
+* Exact rational class masses and iterate coefficients, for the closed-form
+  rotation of ``amplitude_engine``: every mass is rational, since
+  (1/sqrt|A|)^2 = 1/|A|.
 
 Register convention for dense indices: the node register occupies the most
 significant bits, followed by the level-0 action register down to the
@@ -16,9 +19,10 @@ level-(d-1) register.
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterable
+from collections import defaultdict, deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -128,6 +132,41 @@ def branching_stats(problem: ProblemSpec, depth: int) -> BranchingStats:
         internal_nodes=internal,
         paths=len(level),
     )
+
+
+# -- exact masses and coefficients ----------------------------------------------
+
+def exact_class_masses(
+    problem: ProblemSpec, depth: int, marks: Callable[[int], bool]
+) -> tuple[Fraction, Fraction]:
+    """(g2, b2) of the depth-``depth`` tree as fractions, by a DP over (level,
+    state) in which a step from s weighs 1/|A(s)|. A dead end above the depth
+    is one unmarked row; at the depth, ``marks(state)`` decides."""
+    level = {problem.root: Fraction(1)}
+    b2 = Fraction(0)
+    for _ in range(depth):
+        nxt: defaultdict[int, Fraction] = defaultdict(Fraction)
+        for s, w in level.items():
+            acts = problem.admissible[s]
+            if not acts:
+                b2 += w
+            for a in acts:
+                nxt[problem.transition[(s, a)]] += w / len(acts)
+        level = nxt
+    g2 = sum((w for s, w in level.items() if marks(s)), Fraction(0))
+    return g2, b2 + sum(level.values(), Fraction(0)) - g2
+
+
+def exact_coefficients(g2: Fraction, b2: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """(c_g, c_b) after k iterates from (1, 1), each the oracle and then the
+    reflection about the start, in exact arithmetic. The fractions grow with
+    k, and so does the cost of a step: k = 402 on needle b=2 d=18 takes
+    about 60 ms."""
+    c_g = c_b = Fraction(1)
+    for _ in range(k):
+        s = (-c_g * g2 + c_b * b2) / (g2 + b2)  # <psi| oracle |state> / <psi|psi>
+        c_g, c_b = 2 * s + c_g, 2 * s - c_b
+    return c_g, c_b
 
 
 # -- the weighted rows of a prepared tree ---------------------------------------

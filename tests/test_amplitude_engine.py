@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -517,18 +518,18 @@ def test_exponential_search_matches_dense_reference(case, seed):
     plan = PreparationPlan.for_problem(problem, depth)
     pred = MarkPredicate.goal_at(depth)
     rounds = []  # (k, state after the k iterates) of each round, as the engine runs it
-    restart = _RunArrays.restart
+    rotate = _RunArrays.rotate
 
     def spy(run, k):
-        restart(run, k)
+        rotate(run, k)
         rounds.append((k, run.to_state()))
 
-    _RunArrays.restart = spy
+    _RunArrays.rotate = spy
     try:
         sched = AmplificationSchedule(policy="exponential_search", seed=seed, max_oracle_queries=40)
         final, report = amplify(prepare_tree_state(plan), plan, pred, sched)
     finally:
-        _RunArrays.restart = restart
+        _RunArrays.rotate = rotate
     assert sum(k for k, _ in rounds) == report.iterations == report.oracle_queries
     axis = reference.prepare(plan)
     for k, state in rounds:
@@ -537,20 +538,38 @@ def test_exponential_search_matches_dense_reference(case, seed):
     assert max_deviation(final, dense_iterates(axis, axis, problem, pred, last)) <= 1e-12
 
 
-@pytest.mark.parametrize("problem, depth", [(needle_problem(12, 2), 12), (grid_problem(6, 6), 10)])
-def test_coefficient_table_is_the_recurrence_bit_for_bit(problem, depth):
+def within_rel(x: float, exact, rel: float) -> bool:
+    """|x - exact| <= rel * |exact|, in exact arithmetic."""
+    return abs(Fraction(x) - exact) <= Fraction(rel) * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "problem, depth",
+    [
+        pytest.param(needle_problem(10, 2), 10, id="needle-b2-d10"),
+        pytest.param(needle_problem(18, 2), 18, id="needle-b2-d18"),
+        pytest.param(needle_problem(10, 3), 10, id="needle-b3-d10"),
+        pytest.param(needle_problem(8, 4), 8, id="needle-b4-d8"),
+        pytest.param(grid_problem(6, 6), 10, id="grid6x6-d10"),
+        pytest.param(load_fixture("mislead"), 2, id="mislead-d2-half"),
+        pytest.param(load_fixture("goalless"), 2, id="goalless-d2-zero"),
+        pytest.param(load_fixture("tiny"), 0, id="tiny-d0-one"),
+    ],
+)
+def test_rotation_matches_the_exact_recurrence(problem, depth):
     plan = PreparationPlan.for_problem(problem, depth)
-    psi, pred = prepare_tree_state(plan), MarkPredicate.goal_at(depth)
-    tabled, looped = _RunArrays(psi, problem, pred), _RunArrays(psi, problem, pred)
-    # the table grows out of order, as the drawn k do, and is read back below its end
-    for k in [0, 5, 3, 17, 2, *range(601)]:
-        tabled.restart(k)
-        looped.reset()
-        looped.iterate(k)
-        assert (tabled.c_g, tabled.c_b) == (looped.c_g, looped.c_b), k
-    assert len(tabled.table) == 601
-    tabled.reset()
-    assert len(tabled.table) == 1 and (tabled.c_g, tabled.c_b) == (1.0, 1.0)
+    run = _RunArrays(prepare_tree_state(plan), problem, MarkPredicate.goal_at(depth))
+    g2, b2 = reference.exact_class_masses(problem, depth, problem.goals.__contains__)
+    assert within_rel(run.g2, g2, 1e-13) and within_rel(run.b2, b2, 1e-13)
+    run.rotate(0)
+    assert (run.c_g, run.c_b) == (1.0, 1.0)
+    k_opt = optimal_iterations(float(g2 / (g2 + b2))) if g2 else 0
+    # the exact fractions grow with k, so the largest k is kept to 600
+    for k in sorted(k for k in {0, 1, k_opt, 2 * k_opt + 1} if k <= 600):
+        c_g, c_b = reference.exact_coefficients(g2, b2, k)
+        run.rotate(k)
+        assert abs(run.marked_mass() - c_g**2 * g2) <= 1e-12, k
+        assert abs(run.c_b**2 * run.b2 - c_b**2 * b2) <= 1e-12, k
 
 
 @pytest.mark.parametrize(
@@ -575,7 +594,7 @@ def test_explicit_iterations_keep_memory_flat(binary7):
     plan = PreparationPlan.for_problem(binary7, 2)
     psi = prepare_tree_state(plan)
     peaks = []
-    for k in (10**3, 10**6):
+    for k in (10**3, 10**6, 10**12):
         sched = AmplificationSchedule(policy="explicit", iterations=k)
         tracemalloc.start()
         try:
@@ -584,8 +603,10 @@ def test_explicit_iterations_keep_memory_flat(binary7):
         finally:
             tracemalloc.stop()
         assert report.oracle_queries == k
-    # explicit runs the recurrence once and tabulates nothing
-    assert peaks[1] < peaks[0] + 4096, peaks
+        expected = predicted_mass(report.initial_probability, k)
+        assert abs(report.measured_probability - expected) <= 1e-6, k
+    # the rotation is closed form, so no k costs more memory than another
+    assert max(peaks) < peaks[0] + 4096, peaks
 
 
 # -- the exponential-search draw against rng.choice ------------------------------
@@ -615,8 +636,7 @@ def test_sample_draws_the_row_choice_draws(problem, depth, threshold, seed):
     run = _RunArrays(prepare_tree_state(plan), problem, pred)
     rng = np.random.default_rng(seed)
     for k in range(12):
-        run.reset()
-        run.iterate(k)
+        run.rotate(k)
         for _ in range(3):
             ref = copy.deepcopy(rng)
             assert run.sample(rng) == choice_draw(run, ref), k
@@ -673,8 +693,7 @@ def test_deferred_state_agrees_with_its_rows(problem, depth, context, threshold,
     assert run.b2 == pytest.approx(float(np.vdot(b, b).real), abs=1e-12)
     rng = np.random.default_rng(seed)
     for k in range(12):
-        run.reset()
-        run.iterate(k)
+        run.rotate(k)
         amp = scale_classes(rows.amp, marked, run.c_g, run.c_b)
         built = TreeState.from_arrays(plan.layout, rows.actions, rows.node, amp, rows.dead)
         g = amp[marked]

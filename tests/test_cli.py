@@ -245,6 +245,11 @@ def test_state_dump_is_not_an_output_format():
         (["prune", "prune2", "--depth", "2", "--iterations", "3"], "--iterations"),
         (["greedy", "grid4", "--depth", "0", "--budget", "-1"], "budget"),
         (["prepare", "binary7", "--depth", "2", "--state-dump", "--samples", "1"], "--samples"),
+        # past 2**52 the phase (2k+1)t no longer holds 2k+1 exactly
+        (["search", "binary7", "--depth", "3", "--policy", "explicit",
+          "--iterations", str(2**52 + 1)], "2**52"),
+        (["search", "binary7", "--depth", "3", "--policy", "explicit",
+          "--iterations", str(10**400)], "2**52"),
     ],
 )
 def test_flag_that_cannot_be_honoured_exits_two(argv, message, capsys):

@@ -95,3 +95,19 @@ def test_script_output_matches_golden(name, monkeypatch):
     with redirect_stdout(out):
         runpy.run_path(str(script), run_name="__main__")
     assert out.getvalue() == (GOLDEN_DIR / f"script-{name}.txt").read_text(encoding="utf-8")
+
+
+def test_replay_outputs_prints_one_pass_of_the_benchmark_solves(monkeypatch, capsys):
+    # the script appends benchmark/ to sys.path to import its workloads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    replay = runpy.run_path(str(SCRIPTS_DIR / "replay_outputs.py"))
+    replay["main"](["--cli", "17", "--grid", "1", "--needle", "1"])
+    out = capsys.readouterr().out
+    headers = [line for line in out.splitlines() if line.startswith("## ")]
+    assert [h.split()[1] for h in headers[:17]] == [str(i) for i in range(17)]
+    assert headers[15].endswith("goalless.problem --depth 2 --seed 0 --format records -> 1")
+    assert headers[17:] == [
+        "## grid-iddfs-bbht 0 seed=0 solution=0,0,0,0,2,2,0,2,2,2",
+        "## needle-deep 0 seed=0 solution=0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1",
+    ]
+    assert out.count("check: ok") == 19
